@@ -55,6 +55,8 @@ func TestBatchMatchesSequentialOracle(t *testing.T) {
 		{"hr-rerank", []Option{WithQueryMethod(HR), WithReranking(0, 0, 0)}},
 		{"gqr-sh", []Option{WithQueryMethod(GQR), WithAlgorithm(SH)}},
 		{"gqr-kmh", []Option{WithQueryMethod(GQR), WithAlgorithm(KMH)}},
+		{"hr-kmh", []Option{WithQueryMethod(HR), WithAlgorithm(KMH)}},
+		{"qr-sh", []Option{WithQueryMethod(QR), WithAlgorithm(SH)}},
 		{"gqr-angular", []Option{WithQueryMethod(GQR), WithMetric(Angular)}},
 		{"gqr-tables", []Option{WithQueryMethod(GQR), WithTables(3)}},
 	}

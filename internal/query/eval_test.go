@@ -9,18 +9,26 @@ package query
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"gqr/internal/dataset"
 	"gqr/internal/hash"
 	"gqr/internal/index"
+	"gqr/internal/quantization"
 	"gqr/internal/vecmath"
 )
 
-// referenceSearch replays the pre-overhaul querying pipeline: fresh
-// sequences and heap per call, interleaved visited-filtering and full
-// (unbounded) distance computation per bucket. It is the oracle the
-// batched early-abandon path must match id-for-id and bit-for-bit.
+// referenceSearch is the querying pipeline written the slow, obvious
+// way: it projects the query itself through the hasher entry point each
+// method is defined over, keeps fresh sequences and heaps per call,
+// resolves buckets through the allocating index.Bucket, filters and
+// scores one id at a time with the unbounded distance kernel, and ranks
+// quantized scores with a full sort. It shares no code with the
+// Searcher beyond the probe sequences and the top-k heap, and is the
+// oracle Search must match id-for-id, bit-for-bit and counter-for-
+// counter. (EarlyAbandoned is the one counter it cannot produce: it
+// describes the bounded kernel, which the reference does not use.)
 func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt Options) Result {
 	t.Helper()
 	type state struct {
@@ -31,12 +39,59 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 	}
 	states := make([]state, len(ix.Tables))
 	for ti := range states {
-		states[ti].seq = m.NewSequence(ti, q)
+		// Hamming-score methods are defined over c(q) alone; QD methods
+		// over c(q) and the flipping costs. KMH picks its codeword
+		// differently on the two paths, so the distinction is observable.
+		h := ix.Tables[ti].Hasher
+		var code uint64
+		var costs []float64
+		if m.QDScores() {
+			costs = make([]float64, h.Bits())
+			code = h.QueryProjection(q, costs)
+		} else {
+			code = h.Code(q)
+		}
+		states[ti].seq = m.(PreparedMethod).NewSequencePrepared(ti, code, costs, nil)
 		states[ti].code, states[ti].score, states[ti].alive = states[ti].seq.Next()
 	}
 	visited := make([]bool, ix.N)
 	top := newTopK(opt.K)
 	var st Stats
+
+	// Re-ranking: every gathered candidate gets a quantized score from
+	// the quantization package's flat table; the best factor·k under
+	// ascending (score, id) are the only ones evaluated exactly.
+	type scoredID struct {
+		d  float32
+		id int32
+	}
+	var scored []scoredID
+	var tab []float32
+	quant := ix.Quantizer()
+	rerank := quant != nil && ix.RerankFactor > 0
+	keep := ix.RerankFactor * opt.K
+	if rerank {
+		tab = quant.ADCTable(q, nil, make([]float32, ix.Dim))
+	}
+	rank := func() {
+		sort.Slice(scored, func(a, b int) bool {
+			if scored[a].d != scored[b].d {
+				return scored[a].d < scored[b].d
+			}
+			return scored[a].id < scored[b].id
+		})
+	}
+	dropped := func(id int32) bool {
+		if ix.IsDeleted(id) {
+			return true
+		}
+		meta := ix.MetaOf(id)
+		if opt.TagMask != 0 && meta&opt.TagMask != opt.TagMask {
+			return true
+		}
+		return opt.Filter != nil && !opt.Filter(id, meta)
+	}
+
 	useEarlyStop := opt.EarlyStop && opt.Mu > 0 && m.QDScores()
 	for {
 		best := -1
@@ -53,7 +108,18 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		}
 		if useEarlyStop || (opt.Radius > 0 && opt.Mu > 0 && m.QDScores()) {
 			bound := opt.Mu * states[best].score
-			if useEarlyStop && top.Full() && bound*bound >= top.Worst() {
+			// The running k-th best: exact distances normally, the
+			// factor·k-th quantized score under re-ranking.
+			full, worst := top.Full(), 0.0
+			if rerank {
+				if full = len(scored) >= keep; full {
+					rank()
+					worst = float64(scored[keep-1].d)
+				}
+			} else if full {
+				worst = top.Worst()
+			}
+			if useEarlyStop && full && bound*bound >= worst {
 				st.EarlyStopped = true
 				break
 			}
@@ -70,8 +136,18 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 					continue
 				}
 				visited[id] = true
+				if dropped(id) {
+					st.Filtered++
+					continue
+				}
 				st.Candidates++
-				top.Offer(vecmath.SquaredL2(q, ix.Vector(id)), id)
+				if rerank {
+					mq := quant.M()
+					scored = append(scored, scoredID{refADC(tab, quant.K(), ix.CodesSlab()[int(id)*mq:(int(id)+1)*mq]), id})
+					st.ADCScored++
+				} else {
+					top.Offer(vecmath.SquaredL2(q, ix.Vector(id)), id)
+				}
 			}
 		}
 		if opt.MaxCandidates > 0 && st.Candidates >= opt.MaxCandidates {
@@ -81,6 +157,16 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 			break
 		}
 		states[best].code, states[best].score, states[best].alive = states[best].seq.Next()
+	}
+	if rerank {
+		rank()
+		if len(scored) > keep {
+			scored = scored[:keep]
+		}
+		st.Reranked = len(scored)
+		for _, c := range scored {
+			top.Offer(vecmath.SquaredL2(q, ix.Vector(c.id)), c.id)
+		}
 	}
 	ids, dists := top.Sorted()
 	for i := range dists {
@@ -97,6 +183,86 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		ids, dists = ids[:cut], dists[:cut]
 	}
 	return Result{IDs: ids, Dists: dists, Stats: st}
+}
+
+// refADC is the quantized score of one byte code against the flat ADC
+// table (tab[s·k+c]), in float32 and in the summation order the serving
+// path commits to: two 4-wide chains at m=8, four at m=16 paired
+// ((a+b)+(c+d)), otherwise the even and the odd subspaces as two chains.
+// float32 addition is not associative, so the order is part of the
+// result; a new scoring kernel must keep it (or change this on purpose).
+func refADC(tab []float32, k int, code []uint8) float32 {
+	chain := func(from, to, step int) float32 {
+		var s float32
+		for i := from; i < to; i += step {
+			s += tab[i*k+int(code[i])]
+		}
+		return s
+	}
+	switch m := len(code); m {
+	case 8:
+		return chain(0, 4, 1) + chain(4, 8, 1)
+	case 16:
+		return (chain(0, 4, 1) + chain(4, 8, 1)) + (chain(8, 12, 1) + chain(12, 16, 1))
+	default:
+		return chain(0, m, 2) + chain(1, m, 2)
+	}
+}
+
+// splitLearner wraps a learner so that Code and QueryProjection disagree
+// on bit 0 — a loud version of what KMH does on rare near-ties (its two
+// paths compare squared and unsquared distances). The index is built
+// through Code, so a pipeline that hands a Hamming-score method the
+// QueryProjection code, or a QD method the Code one, probes in a visibly
+// different order.
+type splitLearner struct{ hash.Learner }
+
+type splitHasher struct{ hash.Hasher }
+
+func (l splitLearner) Train(data []float32, n, d, bits int, seed int64) (hash.Hasher, error) {
+	h, err := l.Learner.Train(data, n, d, bits, seed)
+	return splitHasher{h}, err
+}
+
+func (h splitHasher) Code(x []float32) uint64 { return h.Hasher.Code(x) ^ 1 }
+
+// TestADCScoresMatchReference pins the serving path's quantized scores
+// to refADC bit for bit, at each kernel shape (m=8, m=16, even and odd
+// generic m). The end-to-end oracle above cannot: a score that differs
+// in its last bit almost never changes which factor·k candidates
+// survive.
+func TestADCScoresMatchReference(t *testing.T) {
+	for _, m := range []int{8, 16, 4, 5} {
+		dim := 4 * m
+		ix, ds := equalityCorpus(t, hash.ITQ{Iterations: 4}, 300, dim, 8, 1, int64(1000+m))
+		rq, err := quantization.TrainReranker(ds.Vectors, ds.N(), dim, m, 16, false, 7, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.AttachQuantizer(rq, rq.EncodeAll(ds.Vectors, ds.N(), 1)); err != nil {
+			t.Fatal(err)
+		}
+		ix.RerankFactor = 2
+		s := NewSearcher(ix, NewGQR(ix))
+		ids := make([]int32, ix.N)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		for qi := 0; qi < ds.NQ(); qi++ {
+			q := ds.Query(qi)
+			tab := rq.ADCTable(q, nil, nil)
+			var st Stats
+			s.adcRows = rq.ADCRows(q, s.adcRows, nil)
+			s.keep, s.adcDists, s.adcIDs = len(ids), s.adcDists[:0], s.adcIDs[:0]
+			s.adcCollectBatch(ids, &st)
+			for i, id := range s.adcIDs {
+				want := refADC(tab, rq.K(), ix.CodesSlab()[int(id)*m:(int(id)+1)*m])
+				if s.adcDists[i] != want {
+					t.Fatalf("m=%d query %d id %d: score %v, reference %v (must be bit-for-bit)", m, qi, id, s.adcDists[i], want)
+				}
+			}
+		}
+	}
 }
 
 // equalityCorpus builds one randomized corpus + index for the
@@ -129,13 +295,14 @@ func assertSameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestSearchMatchesReferenceAllMethods is the overhaul's correctness
-// bar: for every method, over randomized corpora and option mixes
-// (budgets, early stop, radius, multi-table), the batched early-abandon
-// Search returns exactly the ids and distances of the straightforward
-// path. One Searcher is reused across all queries of a corpus, so any
-// cross-query scratch pollution (stale sequences, un-reset heap,
-// leftover gather buffer) shows up as a mismatch.
+// TestSearchMatchesReferenceAllMethods is the pipeline's correctness
+// bar: for every method, over randomized corpora (affine learners, SH
+// and KMH; one and several tables; pending tombstones; PQ re-ranking at
+// each ADC kernel shape) and option mixes (budgets, early stop, radius,
+// tag mask, filter), Search returns exactly the ids, distances and work
+// counters of the reference. One Searcher is reused across all queries
+// of a corpus, so any cross-query scratch pollution (stale sequences,
+// un-reset heap, leftover gather buffer) shows up as a mismatch.
 func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 	type corpus struct {
 		learner hash.Learner
@@ -143,15 +310,58 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 		bits    int
 		tables  int
 		seed    int64
+		// deleteEvery > 0 tombstones every deleteEvery-th id, leaving them
+		// pending in the posting lists (the filtered gather path).
+		deleteEvery int
+		// pqM > 0 attaches a PQ re-ranker with pqM subspaces.
+		pqM, pqK, factor int
+		// noEarlyStop skips the early-stop option sets.
+		noEarlyStop bool
 	}
 	corpora := []corpus{
-		{hash.ITQ{Iterations: 6}, 500, 16, 8, 1, 101},
-		{hash.LSH{}, 700, 24, 10, 3, 202},
-		{hash.PCAH{}, 300, 12, 8, 2, 303},
+		{learner: hash.ITQ{Iterations: 6}, n: 500, dim: 16, bits: 8, tables: 1, seed: 101},
+		{learner: hash.LSH{}, n: 700, dim: 24, bits: 10, tables: 3, seed: 202},
+		{learner: hash.PCAH{}, n: 300, dim: 12, bits: 8, tables: 2, seed: 303, deleteEvery: 7},
+		{learner: hash.SH{}, n: 400, dim: 16, bits: 8, tables: 2, seed: 404},
+		{learner: hash.KMH{}, n: 400, dim: 16, bits: 8, tables: 1, seed: 505, deleteEvery: 11},
+		{learner: splitLearner{hash.PCAH{}}, n: 300, dim: 12, bits: 8, tables: 2, seed: 909},
+		{learner: hash.ITQ{Iterations: 6}, n: 600, dim: 16, bits: 8, tables: 1, seed: 606, pqM: 8, pqK: 16, factor: 3},
+		{learner: hash.ITQ{Iterations: 6}, n: 600, dim: 32, bits: 8, tables: 2, seed: 707, deleteEvery: 9, pqM: 16, pqK: 16, factor: 2},
+		// The generic ADC arm. Its early-stop heap sees the two chains
+		// summed in float64, the flat collector in float32; the reference
+		// pins the flat path only.
+		{learner: hash.KMH{}, n: 500, dim: 16, bits: 8, tables: 1, seed: 808, pqM: 4, pqK: 32, factor: 4, noEarlyStop: true},
 	}
 	for _, c := range corpora {
-		ix, ds := equalityCorpus(t, c.learner, c.n, c.dim, c.bits, c.tables, c.seed)
-		mu := 1 / math.Sqrt(float64(c.bits)) // safe scale for ITQ/PCAH; LSH path ignores correctness of µ here
+		live, ds := equalityCorpus(t, c.learner, c.n, c.dim, c.bits, c.tables, c.seed)
+		meta := make([]uint64, live.N)
+		for i := range meta {
+			meta[i] = uint64(i % 4)
+		}
+		if err := live.SetMeta(meta); err != nil {
+			t.Fatal(err)
+		}
+		if c.pqM > 0 {
+			rq, err := quantization.TrainReranker(ds.Vectors, ds.N(), ds.Dim, c.pqM, c.pqK, false, c.seed+3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.AttachQuantizer(rq, rq.EncodeAll(ds.Vectors, ds.N(), 1)); err != nil {
+				t.Fatal(err)
+			}
+			live.RerankFactor = c.factor
+		}
+		if c.deleteEvery > 0 {
+			for id := 3; id < live.N; id += c.deleteEvery {
+				live.Delete(int32(id))
+			}
+		}
+		ix := live.Snapshot() // folds the deletes into the view's bitmap
+		if (c.deleteEvery > 0) != (ix.PendingTombstones() > 0) {
+			t.Fatalf("seed=%d: pending tombstones %d", c.seed, ix.PendingTombstones())
+		}
+		mu := 1 / math.Sqrt(float64(c.bits)) // safe scale for ITQ/PCAH; elsewhere only agreement with the reference matters
+		thirds := func(id int32, _ uint64) bool { return id%3 != 0 }
 		optSets := []Options{
 			{K: 10},
 			{K: 1},
@@ -161,6 +371,9 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 			{K: 10, EarlyStop: true, Mu: mu},
 			{K: 4, Radius: 2.5, Mu: mu},
 			{K: c.n + 10}, // K > N
+			{K: 10, MaxCandidates: 120, TagMask: 1},
+			{K: 10, MaxCandidates: 120, Filter: thirds},
+			{K: 5, TagMask: 2, Filter: thirds, EarlyStop: true, Mu: mu},
 		}
 		for _, name := range Methods() {
 			m, err := NewMethod(name, ix)
@@ -169,6 +382,9 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 			}
 			s := NewSearcher(ix, m)
 			for oi, opt := range optSets {
+				if opt.EarlyStop && c.noEarlyStop {
+					continue
+				}
 				for qi := 0; qi < ds.NQ(); qi++ {
 					q := ds.Query(qi)
 					got, err := s.Search(q, opt)
@@ -178,11 +394,9 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 					want := referenceSearch(t, ix, m, q, opt)
 					label := fmt.Sprintf("seed=%d %s opt[%d] query %d", c.seed, name, oi, qi)
 					assertSameResult(t, label, got, want)
-					if got.Stats.Candidates != want.Stats.Candidates {
-						t.Fatalf("%s: candidates %d, reference %d", label, got.Stats.Candidates, want.Stats.Candidates)
-					}
-					if got.Stats.BucketsProbed != want.Stats.BucketsProbed || got.Stats.EarlyStopped != want.Stats.EarlyStopped {
-						t.Fatalf("%s: probe stats diverged: %+v vs %+v", label, got.Stats, want.Stats)
+					got.Stats.EarlyAbandoned = 0 // the reference kernel never abandons
+					if got.Stats != want.Stats {
+						t.Fatalf("%s: stats %+v, reference %+v", label, got.Stats, want.Stats)
 					}
 				}
 			}

@@ -2,6 +2,8 @@ package gqr
 
 import (
 	"bytes"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +99,129 @@ func TestTraceStatsAcrossMethods(t *testing.T) {
 		st := rec.Stats()
 		if st.Queries != uint64(ds.NQ()) || st.Captured != uint64(ds.NQ()) {
 			t.Fatalf("%s: recorder %+v, want %d queries all captured", method, st, ds.NQ())
+		}
+	}
+}
+
+// spanGrammar is the flight record of one query as the pipeline is
+// allowed to write it: the facade's marks, then the searcher's stages in
+// the only order the driver can produce them. Batch members carry no
+// snapshot span (the batch captured one snapshot for all of them).
+var spanGrammar = regexp.MustCompile(
+	`^(snapshot )?preprocess sequence (rerank )?(probe gather (rerank|evaluate) )*probe (rerank evaluate )?finalize $`)
+
+// checkSpanGrammar asserts one captured trace's stage sequence matches
+// spanGrammar and that its per-stage work annotations add up to the
+// query's totals, which are the search's final SearchStats counters.
+func checkSpanGrammar(t *testing.T, label string, tr *trace.Trace, rerank bool) {
+	t.Helper()
+	if tr.Dropped != 0 {
+		t.Fatalf("%s: %d spans dropped; the grammar needs the whole timeline", label, tr.Dropped)
+	}
+	var sb strings.Builder
+	for _, sp := range tr.Spans {
+		sb.WriteString(sp.Stage.String())
+		sb.WriteByte(' ')
+	}
+	seq := sb.String()
+	if !spanGrammar.MatchString(seq) {
+		t.Fatalf("%s: stage sequence %q does not match the pipeline grammar", label, seq)
+	}
+	if got := strings.Contains(seq, "rerank"); got != rerank {
+		t.Fatalf("%s: rerank spans present = %v, want %v (%q)", label, got, rerank, seq)
+	}
+	w, tot := &tr.StageWork, tr.Totals
+	sums := []struct {
+		name      string
+		got, want int
+	}{
+		{"probe.buckets", int(w[trace.StageProbe].Buckets), tot.BucketsGenerated},
+		{"probe.probed", int(w[trace.StageProbe].Probed), tot.BucketsProbed},
+		{"gather.candidates", int(w[trace.StageGather].Candidates), tot.Candidates},
+		{"gather.filtered", int(w[trace.StageGather].Filtered), tot.Filtered},
+		{"rerank.adcScored", int(w[trace.StageRerank].ADCScored), tot.ADCScored},
+		{"evaluate.candidates", int(w[trace.StageEvaluate].Candidates), tot.Reranked},
+		{"evaluate.abandoned", int(w[trace.StageEvaluate].Abandoned), tot.EarlyAbandoned},
+	}
+	for _, c := range sums {
+		if c.got != c.want {
+			t.Fatalf("%s: span work %s sums to %d, totals say %d", label, c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestTraceSpanGrammar pins the flight record's shape for every method
+// and every pipeline variant — plain, re-ranked, filtered (pending
+// tombstones + tag mask + predicate) and batch member: the stage
+// sequence matches spanGrammar and the span work annotations reconcile
+// with SearchStats.
+func TestTraceSpanGrammar(t *testing.T) {
+	ds := demoData(t)
+	flat := flatQueries(ds)
+	const k = 5
+	for _, method := range []QueryMethod{HR, QR, GHR, GQR, MIH} {
+		for _, rerank := range []bool{false, true} {
+			opts := []Option{WithQueryMethod(method), WithSeed(33), WithTracing(1), WithTraceBuffer(64)}
+			if rerank {
+				opts = append(opts, WithReranking(0, 0, 0))
+			}
+			ix, err := Build(ds.Vectors, ds.Dim, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			meta := make([]uint64, ds.N())
+			for i := range meta {
+				meta[i] = uint64(i % 2)
+			}
+			if err := ix.SetMetadata(meta); err != nil {
+				t.Fatal(err)
+			}
+			rec := ix.TraceRecorder()
+			single := func(variant string, sopts ...SearchOption) {
+				for qi := 0; qi < ds.NQ(); qi++ {
+					label := string(method) + "/" + variant
+					_, st, err := ix.SearchWithStats(ds.Query(qi), k, sopts...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					tr := rec.Traces()[0] // newest first
+					if tr.Totals != totalsOf(k, searchConfig{maxCandidates: 100}, st) {
+						t.Fatalf("%s: trace totals %+v are not the search's stats %+v", label, tr.Totals, st)
+					}
+					if variant == "filtered" && st.Filtered == 0 {
+						t.Fatalf("%s: nothing was filtered", label)
+					}
+					checkSpanGrammar(t, label, tr, rerank)
+				}
+			}
+			single("plain", WithMaxCandidates(100))
+
+			before := rec.Stats().Captured
+			results, err := ix.SearchBatchWithStats(flat, k, WithMaxCandidates(100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := 0
+			for _, tr := range rec.Traces() {
+				if tr.ID <= before || tr.Method == "batch" {
+					continue
+				}
+				members++
+				checkSpanGrammar(t, string(method)+"/batch", tr, rerank)
+			}
+			if members != len(results) {
+				t.Fatalf("%s: %d batch-member traces for %d queries", method, members, len(results))
+			}
+
+			// Pending tombstones switch the gather stage to its filtering
+			// loop; the mask and predicate ride the same loop.
+			for id := 5; id < ds.N(); id += 37 {
+				if err := ix.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			single("filtered", WithMaxCandidates(100), WithTagMask(1),
+				WithFilter(func(id int, _ uint64) bool { return id%3 != 0 }))
 		}
 	}
 }
