@@ -1,11 +1,12 @@
 # Standard checks for the gqr repo. `make check` is the pre-commit
-# gate: vet + full tests + race on the concurrent packages + the
-# flight-recorder race stress.
+# gate: vet + full tests + race over the whole module + the named -race
+# suites (trace stress, durability, lifecycle, batch) + a one-iteration
+# run of every benchmark + the benchmark/ module's own vet and tests.
 GO ?= go
 
-.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke bench-json
+.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke bench-harness bench-json
 
-check: vet test race trace-stress durability lifecycle batch-stress bench-smoke
+check: vet test race trace-stress durability lifecycle batch-stress bench-smoke bench-harness
 
 build:
 	$(GO) build ./...
@@ -74,6 +75,14 @@ bench:
 # runs would have compiled (benchtime=1x keeps it to seconds).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# benchmark/ is its own module (it replaces gqr with ../), so the root
+# `go vet ./...` and `go test ./...` never see it — yet it binds to
+# internal/server, internal/trace, internal/vecmath and internal/wal,
+# and a refactor there can break it. Vet it and run its smoke test
+# (5 s of one workload plus the planted-fault check).
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable ns/op + allocs/op for the evaluation-stage hot path
 # (per-method Search at budget 1000, plain and re-ranked), the vecmath

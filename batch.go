@@ -54,7 +54,12 @@ var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 // first per-query error, if any, fails the call; use
 // SearchBatchWithStats to get per-query errors and work stats instead.
 func (ix *Index) SearchBatch(queries []float32, k int, opts ...SearchOption) ([][]Neighbor, error) {
-	results, err := ix.SearchBatchWithStats(queries, k, opts...)
+	return batchNeighbors(ix.SearchBatchWithStats(queries, k, opts...))
+}
+
+// batchNeighbors reduces per-query batch outcomes to neighbor lists,
+// failing on the first per-query error.
+func batchNeighbors(results []BatchQueryResult, err error) ([][]Neighbor, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -68,22 +73,33 @@ func (ix *Index) SearchBatch(queries []float32, k int, opts ...SearchOption) ([]
 	return out, nil
 }
 
+// checkBatch rejects the structural problems that invalidate a whole
+// batch: a block that is not a whole number of queries, a bad k.
+func checkBatch(blockLen, dim, k int) error {
+	if dim <= 0 || blockLen%dim != 0 {
+		return fmt.Errorf("gqr: query block length %d not a multiple of dim %d", blockLen, dim)
+	}
+	if k <= 0 {
+		return fmt.Errorf("gqr: K must be positive, got %d", k)
+	}
+	return nil
+}
+
 // SearchBatchWithStats is SearchBatch with per-query outcomes: each
 // entry carries the query's neighbors, its §2.2 work stats, and an Err
 // set only for that query's failure. The call-level error is reserved
 // for structural problems that invalidate the whole batch (bad block
 // length, non-positive k).
 func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOption) ([]BatchQueryResult, error) {
+	return ix.searchBatch(queries, k, configOf(opts))
+}
+
+// searchBatch is SearchBatchWithStats over parsed options (a sharded
+// fan-out hands each shard its own config).
+func (ix *Index) searchBatch(queries []float32, k int, sc searchConfig) ([]BatchQueryResult, error) {
 	dim := ix.live.Dim // immutable after Build
-	if dim <= 0 || len(queries)%dim != 0 {
-		return nil, fmt.Errorf("gqr: query block length %d not a multiple of dim %d", len(queries), dim)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("gqr: K must be positive, got %d", k)
-	}
-	var sc searchConfig
-	for _, o := range opts {
-		o(&sc)
+	if err := checkBatch(len(queries), dim, k); err != nil {
+		return nil, err
 	}
 	// One snapshot for the whole batch: every worker probes the same
 	// consistent view, however many Adds land while the batch runs.
@@ -97,13 +113,7 @@ func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOp
 		return out, nil
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nq {
-		workers = nq
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), nq))
 
 	bs := batchPool.Get().(*batchState)
 	defer batchPool.Put(bs)
@@ -113,11 +123,7 @@ func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOp
 	// out of the per-query path so the planner sees final query vectors.
 	qblock := queries
 	if ix.metric == Angular {
-		if cap(bs.norm) < nq*dim {
-			bs.norm = make([]float32, nq*dim)
-		}
-		bs.norm = bs.norm[:nq*dim]
-		copy(bs.norm, queries[:nq*dim])
+		bs.norm = append(bs.norm[:0], queries...)
 		for i := 0; i < nq; i++ {
 			normalizeRow(bs.norm[i*dim : (i+1)*dim])
 		}
@@ -138,13 +144,11 @@ func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOp
 	// bit-identical results — so each distinct query runs once and its
 	// duplicates copy the outcome after the workers drain.
 	bs.dup = bs.plan.Duplicates(qblock, dim, bs.order, bs.dup)
-	if ix.rec != nil {
-		if btr := ix.rec.Begin("batch"); btr != nil {
-			now := time.Now()
-			btr.Record(trace.StageBatch, -1, planStart, now, trace.Work{Candidates: int32(nq)})
-			btr.SetTotals(trace.Totals{K: k, Candidates: nq})
-			ix.rec.Finish(btr, now.Sub(planStart))
-		}
+	if btr := ix.rec.Begin("batch"); btr != nil {
+		now := time.Now()
+		btr.Record(trace.StageBatch, -1, planStart, now, trace.Work{Candidates: int32(nq)})
+		btr.SetTotals(trace.Totals{K: k, Candidates: nq})
+		ix.rec.Finish(btr, now.Sub(planStart))
 	}
 
 	// Workers claim contiguous chunks of the code-sorted order: one
@@ -167,15 +171,18 @@ func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOp
 				if lo >= nq {
 					return
 				}
-				hi := lo + chunk
-				if hi > nq {
-					hi = nq
-				}
-				for _, qi := range bs.order[lo:hi] {
+				for _, qi := range bs.order[lo:min(lo+chunk, nq)] {
 					if bs.dup[qi] >= 0 {
 						continue
 					}
-					ix.searchBatchOne(snap, s, bs.plan.Fill(qi, &prep), qblock[qi*dim:(qi+1)*dim], k, sc, &out[qi])
+					// Each member is its own flight record. It has no
+					// snapshot span (the batch captured one snapshot for
+					// all) and the shared projection work sits in the
+					// batch record.
+					tr := ix.rec.Begin(ix.methodName)
+					res := &out[qi]
+					res.Neighbors, res.Stats, res.Err = ix.searchOne(snap, s, bs.plan.Fill(qi, &prep), qblock[qi*dim:(qi+1)*dim], k, sc, tr)
+					endTrace(ix.rec, tr, res.Err)
 				}
 			}
 		}()
@@ -199,46 +206,4 @@ func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOp
 		out[qi].Neighbors, out[qi].Stats = nbrs, src.Stats
 	}
 	return out, nil
-}
-
-// searchBatchOne runs one batch member through the searcher with its
-// prepared inputs, filling res. Per-query tracing mirrors the
-// sequential path: each batch query is its own flight record (the
-// snapshot-acquire stage is absent — the snapshot was captured once for
-// the whole batch, and projection work sits in the batch record).
-func (ix *Index) searchBatchOne(snap *snapshot, s *query.Searcher, prep *query.Prepared, q []float32, k int, sc searchConfig, res *BatchQueryResult) {
-	var tr *trace.Trace
-	if ix.rec != nil {
-		tr = ix.rec.Begin(ix.methodName)
-	}
-	tr.Mark(trace.StagePreprocess, -1)
-	r, err := s.Search(q, query.Options{
-		K:             k,
-		MaxCandidates: sc.maxCandidates,
-		MaxBuckets:    sc.maxBuckets,
-		EarlyStop:     sc.earlyStop,
-		Radius:        sc.radius,
-		Mu:            snap.mu,
-		Profile:       sc.profile,
-		Trace:         tr,
-		TagMask:       sc.tagMask,
-		Filter:        filterOf(sc.filter),
-		Prepared:      prep,
-	})
-	if err != nil {
-		if tr != nil {
-			ix.rec.Recycle(tr)
-		}
-		res.Err = err
-		return
-	}
-	nbrs := make([]Neighbor, len(r.IDs))
-	for i := range r.IDs {
-		nbrs[i] = Neighbor{ID: int(r.IDs[i]), Distance: r.Dists[i]}
-	}
-	res.Neighbors, res.Stats = nbrs, statsOf(r.Stats)
-	if tr != nil {
-		tr.SetTotals(totalsOf(k, sc, res.Stats))
-		ix.rec.Finish(tr, time.Since(tr.Begin))
-	}
 }

@@ -38,10 +38,18 @@
 //	        gqr.WithQueryMethod(gqr.GQR))
 //	nbrs, _ := ix.Search(q, 10, gqr.WithMaxCandidates(2000))
 //
+// Every entry point — Search, SearchBatch, a ShardedIndex fan-out, the
+// HTTP server — answers a query through one internal function over one
+// pipeline: the query's projected vector (its code and per-bit flipping
+// costs) starts a probe sequence per table, and the probed buckets flow
+// through gather, scoring and finalize stages that are also the stages
+// of the query's flight record (see DESIGN.md).
+//
 // The internal packages contain the substrates: hash (learners), query
-// (HR/GHR/QR/GQR/MIH probing), index (hash tables), quantization
-// (PQ/OPQ/IMI comparison system), dataset (synthetic corpora and fvecs
-// IO), vecmath (eigen/SVD linear algebra) and bench (the experiment
-// harness that regenerates every table and figure of the paper — see
-// cmd/gqr-bench and EXPERIMENTS.md).
+// (HR/GHR/QR/GQR/MIH probing and the search pipeline), index (hash
+// tables), quantization (PQ/OPQ re-ranking and the IMI comparison
+// system), dataset (synthetic corpora and fvecs IO), vecmath (eigen/SVD
+// linear algebra) and bench (the experiment harness that regenerates
+// every table and figure of the paper — see cmd/gqr-bench and
+// EXPERIMENTS.md).
 package gqr

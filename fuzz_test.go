@@ -2,6 +2,7 @@ package gqr
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -88,4 +89,73 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNonFiniteVectorsRejected is the hostile-input neighbour of
+// FuzzLoad for the two places a vector enters the index at run time: a
+// query and an added (or updated) vector. One NaN or ±Inf component
+// poisons every heap comparison it takes part in, so both stop at the
+// door — a search fails alone (per query inside a batch, across every
+// shard of a fan-out), and a write fails before the WAL sees it, for
+// both metrics (normalization turns ±Inf into NaN, never into a number).
+func TestNonFiniteVectorsRejected(t *testing.T) {
+	const dim, n = 6, 120
+	vecs := durVecs(n, dim, 71)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	hostile := map[string]float32{"NaN": nan, "+Inf": inf, "-Inf": -inf}
+	poisoned := func(at int, v float32) []float32 {
+		q := append([]float32{}, vecs[:dim]...)
+		q[at] = v
+		return q
+	}
+	for _, metric := range []Metric{Euclidean, Angular} {
+		ix, err := Build(vecs, dim, WithSeed(72), WithMetric(metric))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.EnableDurability(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := BuildSharded(vecs, dim, 2, WithSeed(72), WithMetric(metric))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ix.Stats()
+		for name, v := range hostile {
+			bad := poisoned(dim-1, v)
+			if _, err := ix.Search(bad, 3); err == nil {
+				t.Errorf("%s/%s: Search accepted a non-finite query", metric, name)
+			}
+			if _, err := sharded.Search(bad, 3); err == nil {
+				t.Errorf("%s/%s: sharded Search accepted a non-finite query", metric, name)
+			}
+			// Inside a batch only the poisoned member fails.
+			block := append(append(append([]float32{}, vecs[:dim]...), bad...), vecs[dim:2*dim]...)
+			res, err := ix.SearchBatchWithStats(block, 3)
+			if err != nil {
+				t.Fatalf("%s/%s: batch: %v", metric, name, err)
+			}
+			if res[0].Err != nil || res[1].Err == nil || res[2].Err != nil {
+				t.Errorf("%s/%s: batch errors %v / %v / %v, want only the middle query to fail", metric, name, res[0].Err, res[1].Err, res[2].Err)
+			}
+			if _, err := ix.Add(bad); err == nil {
+				t.Errorf("%s/%s: Add accepted a non-finite vector", metric, name)
+			}
+			if _, err := ix.AddWithMeta(poisoned(0, v), 1); err == nil {
+				t.Errorf("%s/%s: AddWithMeta accepted a non-finite vector", metric, name)
+			}
+			if _, err := ix.Update(0, bad); err == nil {
+				t.Errorf("%s/%s: Update accepted a non-finite vector", metric, name)
+			}
+		}
+		// Nothing was applied and nothing reached the log.
+		after := ix.Stats()
+		if after.Items != before.Items || after.LiveItems != before.LiveItems || after.WALBytes != before.WALBytes {
+			t.Errorf("%s: rejected writes left a trace: items %d→%d live %d→%d wal %d→%d", metric,
+				before.Items, after.Items, before.LiveItems, after.LiveItems, before.WALBytes, after.WALBytes)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

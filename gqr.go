@@ -84,11 +84,7 @@ type SearchStats struct {
 // (ShardCount, SlowestShard*) are left untouched — they describe one
 // fan-out, not a sum. Use it for cumulative accounting over many
 // queries, e.g. totalling a batch's work.
-func (s *SearchStats) Merge(o SearchStats) { s.merge(o) }
-
-// merge accumulates another search's work into s (used by the sharded
-// index and by cumulative per-batch accounting).
-func (s *SearchStats) merge(o SearchStats) {
+func (s *SearchStats) Merge(o SearchStats) {
 	s.BucketsGenerated += o.BucketsGenerated
 	s.BucketsProbed += o.BucketsProbed
 	s.Candidates += o.Candidates
@@ -375,24 +371,23 @@ func (ix *Index) Search(q []float32, k int, opts ...SearchOption) ([]Neighbor, e
 // items were evaluated, and whether the early-stop rule fired. Pass
 // WithProfile to also split the time between retrieval and evaluation.
 func (ix *Index) SearchWithStats(q []float32, k int, opts ...SearchOption) ([]Neighbor, SearchStats, error) {
-	var sc searchConfig
-	for _, o := range opts {
-		o(&sc)
-	}
-	var tr *trace.Trace
-	if ix.rec != nil {
-		tr = ix.rec.Begin(ix.methodName)
-	}
-	nbrs, st, err := ix.searchTraced(q, k, sc, tr)
-	if tr != nil {
-		if err != nil {
-			ix.rec.Recycle(tr)
-		} else {
-			tr.SetTotals(totalsOf(k, sc, st))
-			ix.rec.Finish(tr, time.Since(tr.Begin))
-		}
-	}
+	sc := configOf(opts)
+	tr := ix.rec.Begin(ix.methodName)
+	nbrs, st, err := ix.searchSnapshot(q, k, sc, tr)
+	endTrace(ix.rec, tr, err)
 	return nbrs, st, err
+}
+
+// endTrace closes a flight record begun on rec: published (subject to
+// the capture policies) when the search succeeded, recycled otherwise.
+func endTrace(rec *trace.Recorder, tr *trace.Trace, err error) {
+	switch {
+	case tr == nil:
+	case err != nil:
+		rec.Recycle(tr)
+	default:
+		rec.Finish(tr, time.Since(tr.Begin))
+	}
 }
 
 // totalsOf copies a search's final counters into trace totals so a
@@ -412,10 +407,10 @@ func totalsOf(k int, sc searchConfig, st SearchStats) trace.Totals {
 	}
 }
 
-// searchTraced runs one search, recording pipeline-stage spans into tr
-// when non-nil (every trace.Trace method is nil-safe, so the untraced
-// path pays only the nil checks).
-func (ix *Index) searchTraced(q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
+// searchSnapshot is the single-query front half shared by
+// SearchWithStats and a sharded fan-out's legs: acquire (possibly
+// republish) the snapshot, check out a searcher, normalize, searchOne.
+func (ix *Index) searchSnapshot(q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
 	snap, err := ix.currentSnapshot()
 	if err != nil {
 		return nil, SearchStats{}, err
@@ -429,8 +424,23 @@ func (ix *Index) searchTraced(q []float32, k int, sc searchConfig, tr *trace.Tra
 		normalizeRow(qb)
 		q = qb
 	}
+	return ix.searchOne(snap, s, nil, q, k, sc, tr)
+}
+
+// searchOne is the one query entry point behind Search, SearchBatch and
+// the sharded fan-out: it runs the (already metric-normalized) query q
+// through searcher s over snap and converts the outcome to the public
+// types. prep is a batch member's prepared view, nil otherwise. Spans
+// and totals go into tr (nil-safe, so the untraced path pays only nil
+// checks); beginning and ending the record stay with its owner.
+func (ix *Index) searchOne(snap *snapshot, s *query.Searcher, prep *query.Prepared, q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
+	// One NaN poisons every heap comparison downstream. Normalization
+	// cannot hide one: it turns NaN and ±Inf components into NaN.
+	if i := firstNonFinite(q); i >= 0 {
+		return nil, SearchStats{}, fmt.Errorf("gqr: query component %d is not finite", i)
+	}
 	tr.Mark(trace.StagePreprocess, -1)
-	res, err := s.Search(q, query.Options{
+	res, err := s.SearchPrepared(q, prep, query.Options{
 		K:             k,
 		MaxCandidates: sc.maxCandidates,
 		MaxBuckets:    sc.maxBuckets,
@@ -449,7 +459,22 @@ func (ix *Index) searchTraced(q []float32, k int, sc searchConfig, tr *trace.Tra
 	for i := range res.IDs {
 		out[i] = Neighbor{ID: int(res.IDs[i]), Distance: res.Dists[i]}
 	}
-	return out, statsOf(res.Stats), nil
+	st := statsOf(res.Stats)
+	if tr != nil {
+		tr.SetTotals(totalsOf(k, sc, st))
+	}
+	return out, st, nil
+}
+
+// firstNonFinite returns the index of v's first NaN or ±Inf component,
+// or -1 when every component is finite.
+func firstNonFinite(v []float32) int {
+	for i, x := range v {
+		if x-x != 0 { // NaN and ±Inf are the only floats for which x−x ≠ 0
+			return i
+		}
+	}
+	return -1
 }
 
 // filterOf adapts the public filter signature (plain int ids) to the
@@ -506,6 +531,11 @@ func (ix *Index) AddWithMeta(vec []float32, meta uint64) (int, error) {
 func (ix *Index) addLocked(vec []float32, meta uint64) (int, error) {
 	if len(vec) != ix.live.Dim {
 		return 0, fmt.Errorf("gqr: vector dim %d != index dim %d", len(vec), ix.live.Dim)
+	}
+	// A non-finite vector would sit in the corpus poisoning every query
+	// that gathers it, and in the WAL poisoning every recovery.
+	if i := firstNonFinite(vec); i >= 0 {
+		return 0, fmt.Errorf("gqr: vector component %d is not finite", i)
 	}
 	// Durability point: the record is on stable storage before the Add
 	// is acknowledged. The vector is logged post-normalization so replay

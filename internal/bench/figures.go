@@ -480,11 +480,18 @@ func runAblHeap(opt RunOptions, w io.Writer) error {
 		gen = 8192
 	}
 	fmt.Fprintf(w, "generating the first %d buckets for %d queries:\n\n", gen, ds.NQ())
-	for _, m := range []query.Method{query.NewGQR(ix), query.NewGQRNaive(ix)} {
+	timeGeneration(w, ds, ix, gen, query.NewGQR(ix), query.NewGQRNaive(ix))
+	return nil
+}
+
+// timeGeneration times each method generating the first gen buckets of
+// every query's table-0 probe sequence (no probing, no evaluation).
+func timeGeneration(w io.Writer, ds *dataset.Dataset, ix *index.Index, gen int, methods ...query.Method) {
+	for _, m := range methods {
 		start := time.Now()
 		var sink uint64
 		for qi := 0; qi < ds.NQ(); qi++ {
-			seq := m.NewSequence(0, ds.Query(qi))
+			seq := query.NewSequence(m, ix, 0, ds.Query(qi))
 			for i := 0; i < gen; i++ {
 				code, _, ok := seq.Next()
 				if !ok {
@@ -497,7 +504,6 @@ func runAblHeap(opt RunOptions, w io.Writer) error {
 		fmt.Fprintf(w, "%-12s %-12s (%.0f ns/bucket, checksum %x)\n",
 			m.Name(), fmtDur(elapsed), float64(elapsed.Nanoseconds())/float64(gen*ds.NQ()), sink)
 	}
-	return nil
 }
 
 func runAblTree(opt RunOptions, w io.Writer) error {
@@ -510,23 +516,7 @@ func runAblTree(opt RunOptions, w io.Writer) error {
 	}
 	gen := 1 << uint(ix.Bits())
 	fmt.Fprintf(w, "full enumeration (%d buckets) for %d queries:\n\n", gen, ds.NQ())
-	for _, m := range []query.Method{query.NewGQR(ix), query.NewGQRSharedTree(ix)} {
-		start := time.Now()
-		var sink uint64
-		for qi := 0; qi < ds.NQ(); qi++ {
-			seq := m.NewSequence(0, ds.Query(qi))
-			for {
-				code, _, ok := seq.Next()
-				if !ok {
-					break
-				}
-				sink ^= code
-			}
-		}
-		elapsed := time.Since(start)
-		fmt.Fprintf(w, "%-12s %-12s (%.0f ns/bucket, checksum %x)\n",
-			m.Name(), fmtDur(elapsed), float64(elapsed.Nanoseconds())/float64(gen*ds.NQ()), sink)
-	}
+	timeGeneration(w, ds, ix, gen, query.NewGQR(ix), query.NewGQRSharedTree(ix))
 	return nil
 }
 

@@ -23,48 +23,26 @@ func (*GQRNaive) Name() string { return "gqr-naive" }
 // QDScores implements Method.
 func (*GQRNaive) QDScores() bool { return true }
 
-// NewSequence implements Method.
-func (g *GQRNaive) NewSequence(t int, q []float32) ProbeSequence {
-	return g.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method, recycling the same buffers as the
-// heap-based GQR plus the naive frontier slice.
-func (g *GQRNaive) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	hasher := g.ix.Tables[t].Hasher
-	m := hasher.Bits()
+// Start implements Method, recycling the same buffers as the heap-based
+// GQR plus the naive frontier slice.
+func (g *GQRNaive) Start(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence {
 	s, ok := reuse.(*gqrNaiveSeq)
 	if !ok || s == nil {
 		s = &gqrNaiveSeq{}
 	}
-	s.costs = grown(s.costs, m)
-	s.order = grown(s.order, m)
-	s.sorted = grown(s.sorted, m)
-	s.origBit = grown(s.origBit, m)
-	s.qcode = hasher.QueryProjection(q, s.costs)
-	s.m = m
+	s.qcode = code
+	s.m = g.ix.Tables[t].Hasher.Bits()
 	s.frontier = s.frontier[:0]
 	s.started = false
-	for i := range s.order {
-		s.order[i] = i
-	}
-	sortIdxByCost(s.order, s.costs)
-	for pos, bit := range s.order {
-		s.sorted[pos] = s.costs[bit]
-		s.origBit[pos] = 1 << uint(bit)
-	}
+	s.order, s.sorted, s.origBit = sortCosts(costs[:s.m], s.order, s.sorted, s.origBit)
 	return s
 }
 
+// gqrNaiveSeq is gqrSeq's projected-vector state with a plain slice for
+// a frontier (the embedded heap stays empty).
 type gqrNaiveSeq struct {
-	qcode    uint64
-	m        int
-	costs    []float64
-	order    []int
-	sorted   []float64
-	origBit  []uint64
+	gqrSeq
 	frontier []flipNode
-	started  bool
 }
 
 func (s *gqrNaiveSeq) Next() (uint64, float64, bool) {
@@ -96,12 +74,5 @@ func (s *gqrNaiveSeq) Next() (uint64, float64, bool) {
 			flipNode{mask: node.mask | hi, dist: node.dist + s.sorted[j+1]},
 			flipNode{mask: (node.mask &^ (1 << uint(j))) | hi, dist: node.dist + s.sorted[j+1] - s.sorted[j]})
 	}
-	code := s.qcode
-	mask := node.mask
-	for mask != 0 {
-		pos := bits.TrailingZeros64(mask)
-		code ^= s.origBit[pos]
-		mask &= mask - 1
-	}
-	return code, node.dist, true
+	return s.bucketOf(node.mask), node.dist, true
 }

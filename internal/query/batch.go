@@ -8,25 +8,24 @@ import (
 	"gqr/internal/vecmath"
 )
 
-// Prepared carries one query's precomputed retrieval inputs into
-// Searcher.Search via Options.Prepared: the per-table packed code and
-// flipping costs (the outputs of hash.Hasher.QueryProjection) plus,
-// for re-ranked indexes, the query's pre-built ADC rows. A batch
-// engine fills one Prepared per query from a BatchPlan so the searcher
-// skips the per-query projection matmul and ADC table build — the two
-// query-independent-shaped costs a batch can amortize. The costs rows
-// are read-only views into the plan (shared across workers); sequences
-// copy them into their own scratch.
+// Prepared is one query as the pipeline consumes it: per table, the
+// packed code and the flipping costs that define quantization distance
+// (the outputs of hash.Hasher.QueryProjection) plus, for re-ranked
+// indexes, the query's ADC rows. Searcher.Search prepares its own; a
+// batch engine fills one per query from a BatchPlan and hands it to
+// Searcher.SearchPrepared, so the projection matmul and the ADC table
+// build — the two costs a batch can amortize — are not paid again.
+// Whatever a view leaves blank the searcher completes from the query
+// vector. Cost rows from a plan are read-only views shared across
+// workers; nothing downstream writes them.
 type Prepared struct {
 	// Codes[t] and Costs[t] are the query's code and per-bit flipping
-	// costs on table t. Costs[t] == nil marks a table whose hasher has
-	// no affine batch projection (SH, KMH); the searcher falls back to
-	// the per-query path for that table.
+	// costs on table t. Costs[t] == nil marks table t blank: the plan
+	// could not project it (SH and KMH have no affine projection).
 	Codes []uint64
 	Costs [][]float64
-	// ADCRows, when non-nil, is the query's pre-built stride-256 ADC
-	// lookup table (length = quantizer M), sliced out of the plan's
-	// arena. The searcher uses it in place of building its own.
+	// ADCRows is the query's stride-256 ADC lookup table (length = the
+	// quantizer's M), sliced out of the plan's arena; nil marks it blank.
 	ADCRows [][256]float32
 }
 
@@ -118,9 +117,6 @@ func PlanBatch(ix *index.Index, queries []float32, nq, procs int, plan *BatchPla
 // and returns p. Safe for concurrent use with other Fill calls on
 // distinct Prepared values.
 func (b *BatchPlan) Fill(qi int, p *Prepared) *Prepared {
-	if p == nil {
-		p = &Prepared{}
-	}
 	nt := len(b.proj)
 	p.Codes = grown(p.Codes, nt)
 	p.Costs = grown(p.Costs, nt)

@@ -51,7 +51,7 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		} else {
 			code = h.Code(q)
 		}
-		states[ti].seq = m.(PreparedMethod).NewSequencePrepared(ti, code, costs, nil)
+		states[ti].seq = m.Start(ti, code, costs, nil)
 		states[ti].code, states[ti].score, states[ti].alive = states[ti].seq.Next()
 	}
 	visited := make([]bool, ix.N)
@@ -243,22 +243,19 @@ func TestADCScoresMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix.RerankFactor = 2
-		s := NewSearcher(ix, NewGQR(ix))
 		ids := make([]int32, ix.N)
 		for i := range ids {
 			ids[i] = int32(i)
 		}
+		got := make([]float32, len(ids))
 		for qi := 0; qi < ds.NQ(); qi++ {
 			q := ds.Query(qi)
 			tab := rq.ADCTable(q, nil, nil)
-			var st Stats
-			s.adcRows = rq.ADCRows(q, s.adcRows, nil)
-			s.keep, s.adcDists, s.adcIDs = len(ids), s.adcDists[:0], s.adcIDs[:0]
-			s.adcCollectBatch(ids, &st)
-			for i, id := range s.adcIDs {
+			adcKernel(rq.ADCRows(q, nil, nil), ix.CodesSlab(), ids, got)
+			for i, id := range ids {
 				want := refADC(tab, rq.K(), ix.CodesSlab()[int(id)*m:(int(id)+1)*m])
-				if s.adcDists[i] != want {
-					t.Fatalf("m=%d query %d id %d: score %v, reference %v (must be bit-for-bit)", m, qi, id, s.adcDists[i], want)
+				if got[i] != want {
+					t.Fatalf("m=%d query %d id %d: score %v, reference %v (must be bit-for-bit)", m, qi, id, got[i], want)
 				}
 			}
 		}
@@ -315,8 +312,6 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 		deleteEvery int
 		// pqM > 0 attaches a PQ re-ranker with pqM subspaces.
 		pqM, pqK, factor int
-		// noEarlyStop skips the early-stop option sets.
-		noEarlyStop bool
 	}
 	corpora := []corpus{
 		{learner: hash.ITQ{Iterations: 6}, n: 500, dim: 16, bits: 8, tables: 1, seed: 101},
@@ -327,10 +322,7 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 		{learner: splitLearner{hash.PCAH{}}, n: 300, dim: 12, bits: 8, tables: 2, seed: 909},
 		{learner: hash.ITQ{Iterations: 6}, n: 600, dim: 16, bits: 8, tables: 1, seed: 606, pqM: 8, pqK: 16, factor: 3},
 		{learner: hash.ITQ{Iterations: 6}, n: 600, dim: 32, bits: 8, tables: 2, seed: 707, deleteEvery: 9, pqM: 16, pqK: 16, factor: 2},
-		// The generic ADC arm. Its early-stop heap sees the two chains
-		// summed in float64, the flat collector in float32; the reference
-		// pins the flat path only.
-		{learner: hash.KMH{}, n: 500, dim: 16, bits: 8, tables: 1, seed: 808, pqM: 4, pqK: 32, factor: 4, noEarlyStop: true},
+		{learner: hash.KMH{}, n: 500, dim: 16, bits: 8, tables: 1, seed: 808, pqM: 4, pqK: 32, factor: 4}, // the generic ADC arm
 	}
 	for _, c := range corpora {
 		live, ds := equalityCorpus(t, c.learner, c.n, c.dim, c.bits, c.tables, c.seed)
@@ -382,9 +374,6 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 			}
 			s := NewSearcher(ix, m)
 			for oi, opt := range optSets {
-				if opt.EarlyStop && c.noEarlyStop {
-					continue
-				}
 				for qi := 0; qi < ds.NQ(); qi++ {
 					q := ds.Query(qi)
 					got, err := s.Search(q, opt)

@@ -22,26 +22,10 @@ func (*GHR) Name() string { return "ghr" }
 // QDScores implements Method.
 func (*GHR) QDScores() bool { return false }
 
-// NewSequence implements Method.
-func (g *GHR) NewSequence(t int, q []float32) ProbeSequence {
-	return g.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method. ghrSeq holds no buffers, so reuse
-// just resets the enumeration state in place.
-func (g *GHR) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	hasher := g.ix.Tables[t].Hasher
-	s, ok := reuse.(*ghrSeq)
-	if !ok || s == nil {
-		s = &ghrSeq{}
-	}
-	*s = ghrSeq{qcode: hasher.Code(q), m: hasher.Bits()}
-	return s
-}
-
-// NewSequencePrepared implements PreparedMethod: GHR enumerates from the
-// query's code alone, so the precomputed one replaces the Code call.
-func (g *GHR) NewSequencePrepared(t int, code uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
+// Start implements Method. GHR enumerates from the code alone and
+// ghrSeq holds no buffers, so reuse just resets the enumeration state
+// in place.
+func (g *GHR) Start(t int, code uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
 	s, ok := reuse.(*ghrSeq)
 	if !ok || s == nil {
 		s = &ghrSeq{}

@@ -60,74 +60,47 @@ func (g *GQR) Name() string {
 // QDScores implements Method.
 func (*GQR) QDScores() bool { return true }
 
-// NewSequence implements Method.
-func (g *GQR) NewSequence(t int, q []float32) ProbeSequence {
-	return g.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method. A recycled *gqrSeq keeps its
-// costs/order/sorted/origBit buffers and its frontier heap's node array
-// (via flipHeap.Reset), so a warmed sequence restarts without touching
-// the allocator.
-func (g *GQR) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	hasher := g.ix.Tables[t].Hasher
-	m := hasher.Bits()
-	s := gqrSeqOf(reuse, m)
-	s.qcode = hasher.QueryProjection(q, s.costs)
-	return g.startSeq(s, m)
-}
-
-// NewSequencePrepared implements PreparedMethod: the (code, costs)
-// pair replaces the QueryProjection call; everything downstream — the
-// cost sort, the f mapping, the generation heap — is the shared setup,
-// so the sequence is identical to NewSequenceReuse's.
-func (g *GQR) NewSequencePrepared(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence {
-	m := g.ix.Tables[t].Hasher.Bits()
-	s := gqrSeqOf(reuse, m)
-	copy(s.costs, costs)
-	s.qcode = code
-	return g.startSeq(s, m)
-}
-
-// gqrSeqOf recycles (or allocates) a gqrSeq with its buffers grown to m
-// bits.
-func gqrSeqOf(reuse ProbeSequence, m int) *gqrSeq {
+// Start implements Method: sort the flipping costs into the sorted
+// projected vector and reset the generation heap. A recycled *gqrSeq
+// keeps its order/sorted/origBit buffers and its frontier heap's node
+// array (via flipHeap.Reset), so a warmed sequence restarts without
+// touching the allocator.
+func (g *GQR) Start(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence {
 	s, ok := reuse.(*gqrSeq)
 	if !ok || s == nil {
 		s = &gqrSeq{}
 	}
-	s.costs = grown(s.costs, m)
-	s.order = grown(s.order, m)
-	s.sorted = grown(s.sorted, m)
-	s.origBit = grown(s.origBit, m)
-	return s
-}
-
-// startSeq finishes sequence setup from s.qcode and s.costs: sort the
-// flipping costs into the sorted projected vector and reset the
-// generation heap.
-func (g *GQR) startSeq(s *gqrSeq, m int) *gqrSeq {
-	s.m = m
+	s.qcode = code
+	s.m = g.ix.Tables[t].Hasher.Bits()
 	s.tree = g.sharedTree
 	s.heap.Reset()
 	s.started = false
-
-	// Sorted projected vector: order bit positions by ascending cost.
-	for i := range s.order {
-		s.order[i] = i
-	}
-	sortIdxByCost(s.order, s.costs)
-	for pos, bit := range s.order {
-		s.sorted[pos] = s.costs[bit]
-		s.origBit[pos] = 1 << uint(bit) // f: sorted position -> original bit mask
-	}
+	s.order, s.sorted, s.origBit = sortCosts(costs[:s.m], s.order, s.sorted, s.origBit)
 	return s
+}
+
+// sortCosts builds the sorted projected vector p̄ of Definition 3 from
+// the per-bit flipping costs, reusing the three buffers: order is the
+// sort scratch (bit index per sorted position), sorted the ascending
+// |p_i(q)| values, and origBit the f mapping from sorted position back
+// to the original bit's mask.
+func sortCosts(costs []float64, order []int, sorted []float64, origBit []uint64) ([]int, []float64, []uint64) {
+	m := len(costs)
+	order, sorted, origBit = grown(order, m), grown(sorted, m), grown(origBit, m)
+	for i := range order {
+		order[i] = i
+	}
+	sortIdxByCost(order, costs)
+	for pos, bit := range order {
+		sorted[pos] = costs[bit]
+		origBit[pos] = 1 << uint(bit)
+	}
+	return order, sorted, origBit
 }
 
 type gqrSeq struct {
 	qcode   uint64
 	m       int
-	costs   []float64 // per-original-bit flipping costs (setup scratch)
 	order   []int     // sort scratch: bit index per sorted position
 	sorted  []float64 // ascending |p_i(q)| values
 	origBit []uint64  // sorted position -> original bit mask

@@ -19,12 +19,16 @@ type HR struct {
 }
 
 // NewHR builds Hamming ranking over ix.
-func NewHR(ix *index.Index) *HR {
-	h := &HR{ix: ix, codes: make([][]uint64, len(ix.Tables))}
-	for t := range ix.Tables {
-		h.codes[t] = ix.Codes(t)
+func NewHR(ix *index.Index) *HR { return &HR{ix: ix, codes: bucketCodes(ix)} }
+
+// bucketCodes lists every table's non-empty bucket codes, ascending —
+// what the two sorting methods rank per query.
+func bucketCodes(ix *index.Index) [][]uint64 {
+	codes := make([][]uint64, len(ix.Tables))
+	for t := range codes {
+		codes[t] = ix.Codes(t)
 	}
-	return h
+	return codes
 }
 
 // Name implements Method.
@@ -33,27 +37,11 @@ func (*HR) Name() string { return "hr" }
 // QDScores implements Method.
 func (*HR) QDScores() bool { return false }
 
-// NewSequence implements Method.
-func (h *HR) NewSequence(t int, q []float32) ProbeSequence {
-	return h.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method. A recycled *hrSeq keeps its
-// ordered/score lists and counting-sort scratch, so restarting costs
-// one O(B) counting-sort pass and no allocations.
-func (h *HR) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	return h.startSeq(t, h.ix.Tables[t].Hasher.Code(q), reuse)
-}
-
-// NewSequencePrepared implements PreparedMethod: HR needs only the
-// query's code, so the precomputed one replaces the Code call and the
-// counting sort proceeds unchanged.
-func (h *HR) NewSequencePrepared(t int, code uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
-	return h.startSeq(t, code, reuse)
-}
-
-// startSeq runs HR's counting sort for one query code.
-func (h *HR) startSeq(t int, qcode uint64, reuse ProbeSequence) ProbeSequence {
+// Start implements Method: one O(B) counting-sort pass over the table's
+// buckets by Hamming distance to code. A recycled *hrSeq keeps its
+// ordered/score lists and counting-sort scratch, so restarting
+// allocates nothing.
+func (h *HR) Start(t int, qcode uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
 	m := h.ix.Tables[t].Hasher.Bits()
 	codes := h.codes[t]
 	s, ok := reuse.(*hrSeq)
@@ -69,9 +57,7 @@ func (h *HR) startSeq(t int, qcode uint64, reuse ProbeSequence) ProbeSequence {
 	// Counting sort by Hamming distance; ties resolved by the ascending
 	// code order of the precomputed list (deterministic, and the
 	// arbitrary tie-break the paper describes).
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+	clear(s.counts)
 	for _, c := range codes {
 		s.counts[bits.OnesCount64(c^qcode)+1]++
 	}
@@ -123,13 +109,7 @@ type QR struct {
 }
 
 // NewQR builds QD ranking over ix.
-func NewQR(ix *index.Index) *QR {
-	h := &QR{ix: ix, codes: make([][]uint64, len(ix.Tables))}
-	for t := range ix.Tables {
-		h.codes[t] = ix.Codes(t)
-	}
-	return h
-}
+func NewQR(ix *index.Index) *QR { return &QR{ix: ix, codes: bucketCodes(ix)} }
 
 // Name implements Method.
 func (*QR) Name() string { return "qr" }
@@ -137,73 +117,41 @@ func (*QR) Name() string { return "qr" }
 // QDScores implements Method.
 func (*QR) QDScores() bool { return true }
 
-// NewSequence implements Method.
-func (h *QR) NewSequence(t int, q []float32) ProbeSequence {
-	return h.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method. A recycled *qrSeq keeps the
-// (code, score) pair arrays and sorts them in place through its own
+// Start implements Method: score every bucket by quantization distance
+// from costs and sort the pairs in place. A recycled *qrSeq keeps the
+// (code, score) pair arrays and sorts them through its own
 // sort.Interface — no permutation slice and no sort.Slice closure, so
 // restarting allocates nothing.
-func (h *QR) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	hasher := h.ix.Tables[t].Hasher
-	s := qrSeqOf(reuse, hasher.Bits(), len(h.codes[t]))
-	qcode := hasher.QueryProjection(q, s.costs)
-	return h.startSeq(t, qcode, s)
-}
-
-// NewSequencePrepared implements PreparedMethod: the precomputed
-// (code, costs) pair replaces the QueryProjection call; the QD scoring
-// and in-place sort are the shared path.
-func (h *QR) NewSequencePrepared(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence {
-	s := qrSeqOf(reuse, h.ix.Tables[t].Hasher.Bits(), len(h.codes[t]))
-	copy(s.costs, costs)
-	return h.startSeq(t, code, s)
-}
-
-// qrSeqOf recycles (or allocates) a qrSeq with its buffers grown.
-func qrSeqOf(reuse ProbeSequence, m, nb int) *qrSeq {
+func (h *QR) Start(t int, qcode uint64, costs []float64, reuse ProbeSequence) ProbeSequence {
+	codes := h.codes[t]
 	s, ok := reuse.(*qrSeq)
 	if !ok || s == nil {
 		s = &qrSeq{}
 	}
-	s.costs = grown(s.costs, m)
-	s.codes = grown(s.codes, nb)
-	s.scores = grown(s.scores, nb)
+	s.codes = grown(s.codes, len(codes))
+	s.scores = grown(s.scores, len(codes))
 	s.pos = 0
-	return s
-}
-
-// startSeq scores every bucket by quantization distance from s.costs
-// and sorts the pairs in place.
-func (h *QR) startSeq(t int, qcode uint64, s *qrSeq) ProbeSequence {
-	codes := h.codes[t]
 	for i, c := range codes {
 		s.codes[i] = c
 		diff := c ^ qcode
 		var qd float64
 		for diff != 0 {
 			b := bits.TrailingZeros64(diff)
-			qd += s.costs[b]
+			qd += costs[b]
 			diff &= diff - 1
 		}
 		s.scores[i] = qd
 	}
 	// (score, code) is a strict total order — codes are unique — so the
-	// in-place unstable sort lands on the same bucket order as the old
-	// permutation sort.
+	// in-place unstable sort has one possible outcome.
 	sort.Sort(s)
 	return s
 }
 
-// qrSeq is QR's reusable sequence: the sorted (code, score) pairs plus
-// the per-bit cost scratch. It implements sort.Interface over the pairs
-// so restarting never builds a closure or permutation.
-type qrSeq struct {
-	listSeq
-	costs []float64
-}
+// qrSeq is QR's reusable sequence: the sorted (code, score) pairs. It
+// implements sort.Interface over them so restarting never builds a
+// closure or permutation.
+type qrSeq struct{ listSeq }
 
 func (s *qrSeq) Len() int { return len(s.codes) }
 

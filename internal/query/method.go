@@ -3,6 +3,14 @@
 // are evaluated against (HR, GHR/hash lookup, MIH), plus the searcher
 // that executes retrieval and evaluation over a hash index.
 //
+// Every query is a prepared query. A Prepared holds what a querying
+// method needs of a query — per table, the code c(q) and the flipping
+// costs |p_i(q)| — and Method.Start is the only way a probe sequence
+// begins. Searcher.SearchPrepared is the only pipeline: a short driver
+// over one function per stage (sequence, probe, gather, rerank or
+// evaluate, finalize), the same stages a flight record shows. Search
+// prepares the query itself; a BatchPlan prepares many at once.
+//
 // Terminology follows the paper:
 //
 //   - HR  — Hamming ranking: sort all non-empty buckets by Hamming
@@ -20,6 +28,7 @@ package query
 import (
 	"fmt"
 
+	"gqr/internal/hash"
 	"gqr/internal/index"
 )
 
@@ -32,46 +41,55 @@ type ProbeSequence interface {
 	Next() (code uint64, score float64, ok bool)
 }
 
-// Method creates probe sequences for queries against a fixed index. A
-// Method is bound to the index at construction so it can precompute
-// per-table structures (bucket code lists for the sorting methods,
-// substring tables for MIH). Methods hold no per-query state, so one
-// Method instance serves any number of concurrent Searchers; all
-// per-query scratch lives in the sequences themselves, which the
-// Searcher owns and recycles through NewSequenceReuse.
+// Method starts probe sequences against a fixed index. A Method is
+// bound to the index at construction so it can precompute per-table
+// structures (bucket code lists for the sorting methods, substring
+// tables for MIH). Methods hold no per-query state, so one instance
+// serves any number of concurrent Searchers; per-query scratch lives in
+// the sequences, which the Searcher owns and hands back through Start.
+//
+// A query reaches a method only as its projected vector, the pair the
+// paper's querying stage is defined over: the code c(q) and the per-bit
+// flipping costs |p_i(q)|. Who computed the pair — the searcher for one
+// query, a BatchPlan for many — is invisible to the method.
 type Method interface {
 	// Name identifies the querying method ("gqr", "hr", ...).
 	Name() string
-	// NewSequence starts a probe sequence for query q on table t of the
-	// bound index. Sequences are single-use and not safe for concurrent
-	// use.
-	NewSequence(t int, q []float32) ProbeSequence
-	// NewSequenceReuse is NewSequence with scratch recycling: when reuse
-	// is a sequence previously returned by this method, its buffers
-	// (cost/order arrays, sort scratch, frontier heaps, discovery maps)
-	// are reused instead of reallocated, making the steady-state query
-	// path allocation-free. Passing nil — or a sequence from another
-	// method — falls back to a fresh allocation, so callers can thread
-	// whatever they last got back in without type inspection.
-	NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence
+	// Start begins the probe sequence of table t for a query with the
+	// given code and flipping costs. Hamming-score methods (QDScores
+	// false) read only the code, and costs may be nil; QD methods read
+	// costs (one per code bit) during Start only and never retain or
+	// modify it, so one cost row may be shared across goroutines. reuse
+	// is a sequence this method returned earlier, whose buffers are
+	// recycled so the steady-state query path allocates nothing; nil —
+	// or another method's sequence — means a fresh allocation, so callers
+	// thread back whatever they last got. Sequences are single-use and
+	// not safe for concurrent use.
+	Start(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence
 	// QDScores reports whether Score values are quantization distances
 	// (enabling the Theorem 2 early-stop rule in the searcher).
 	QDScores() bool
 }
 
-// PreparedMethod is implemented by methods whose sequences can start
-// from a precomputed (code, costs) pair — the outputs of
-// hash.Hasher.QueryProjection — instead of re-deriving them from the
-// query vector. This is the batched-execution hook: a BatchPlan
-// computes every query's projection with one parallel matmul per
-// table, and the searcher hands each sequence its precomputed pair.
-// Hamming methods (HR, GHR, MIH) consume only the code and ignore
-// costs; QD methods (QR, GQR) copy the costs into their own scratch.
-// NewSequencePrepared must be behaviorally identical to
-// NewSequenceReuse fed the same query: same emission order, same
-// scores.
-type PreparedMethod interface {
-	NewSequencePrepared(t int, code uint64, costs []float64, reuse ProbeSequence) ProbeSequence
+// project computes the (code, costs) pair a method with the given score
+// type consumes, through the hasher entry point that method is defined
+// over: Code alone for Hamming scores (costs stay nil), QueryProjection
+// into costs for quantization distance. The two are not interchangeable
+// — KMH resolves near-ties between codewords differently on each.
+func project(qd bool, h hash.Hasher, q []float32, costs []float64) (uint64, []float64) {
+	if !qd {
+		return h.Code(q), nil
+	}
+	costs = grown(costs, h.Bits())
+	return h.QueryProjection(q, costs), costs
+}
+
+// NewSequence projects q on table t of ix and starts m's probe sequence
+// from the result — the one-off path of tests and figure code that want
+// a sequence straight from a vector. m must be bound to ix.
+func NewSequence(m Method, ix *index.Index, t int, q []float32) ProbeSequence {
+	code, costs := project(m.QDScores(), ix.Tables[t].Hasher, q, nil)
+	return m.Start(t, code, costs, nil)
 }
 
 // grown returns s resized to length n, reallocating only when the
@@ -88,8 +106,7 @@ func grown[T any](s []T, n int) []T {
 // ascending costs[order[i]], breaking ties toward the smaller index.
 // Code lengths are ≤ 64, so an insertion sort beats sort.Slice and
 // allocates nothing; the comparator is a strict total order (indices
-// are distinct), so the result is the unique sorted permutation — the
-// same one the previous sort.Slice closure produced.
+// are distinct), so the result is the unique sorted permutation.
 func sortIdxByCost(order []int, costs []float64) {
 	for i := 1; i < len(order); i++ {
 		v := order[i]

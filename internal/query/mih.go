@@ -118,28 +118,11 @@ func (*MIH) Name() string { return "mih" }
 // QDScores implements Method.
 func (*MIH) QDScores() bool { return false }
 
-// NewSequence implements Method.
-func (mi *MIH) NewSequence(t int, q []float32) ProbeSequence {
-	return mi.NewSequenceReuse(t, q, nil)
-}
-
-// NewSequenceReuse implements Method. A recycled *mihSeq keeps the
-// per-distance discovery lists (truncated, capacity retained) and the
-// seen set (cleared, buckets retained), so a warmed sequence restarts
-// without allocating.
-func (mi *MIH) NewSequenceReuse(t int, q []float32, reuse ProbeSequence) ProbeSequence {
-	return mi.startSeq(t, mi.ix.Tables[t].Hasher.Code(q), reuse)
-}
-
-// NewSequencePrepared implements PreparedMethod: MIH searches from the
-// query's code alone, so the precomputed one replaces the Code call and
-// the substring enumeration proceeds unchanged.
-func (mi *MIH) NewSequencePrepared(t int, code uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
-	return mi.startSeq(t, code, reuse)
-}
-
-// startSeq resets (or allocates) a mihSeq for one query code.
-func (mi *MIH) startSeq(t int, qcode uint64, reuse ProbeSequence) ProbeSequence {
+// Start implements Method. MIH searches from the code alone. A recycled
+// *mihSeq keeps the per-distance discovery lists (truncated, capacity
+// retained) and the seen set (cleared, buckets retained), so a warmed
+// sequence restarts without allocating.
+func (mi *MIH) Start(t int, qcode uint64, _ []float64, reuse ProbeSequence) ProbeSequence {
 	m := mi.ix.Tables[t].Hasher.Bits()
 	s, ok := reuse.(*mihSeq)
 	if !ok || s == nil {

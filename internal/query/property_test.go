@@ -59,7 +59,7 @@ func TestGQROrderingMatchesSubsetSumSort(t *testing.T) {
 		}
 		code := uint64(rng.Int63()) & ((1 << uint(m)) - 1)
 		ix := stubIndex(m, code, costs)
-		seq := NewGQR(ix).NewSequence(0, []float32{0, 0})
+		seq := NewSequence(NewGQR(ix), ix, 0, []float32{0, 0})
 
 		// Brute-force expectation: QD of every bucket.
 		type bs struct {
@@ -112,7 +112,7 @@ func TestGHROrderingMatchesPopcountSort(t *testing.T) {
 		m := 2 + rng.Intn(9)
 		code := uint64(rng.Int63()) & ((1 << uint(m)) - 1)
 		ix := stubIndex(m, code, make([]float64, m))
-		seq := NewGHR(ix).NewSequence(0, []float32{0, 0})
+		seq := NewSequence(NewGHR(ix), ix, 0, []float32{0, 0})
 		prev := -1.0
 		count := 0
 		for {

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"gqr/internal/index"
@@ -57,15 +58,6 @@ type Options struct {
 	// runs inside the gather loop after the tombstone and tag-mask
 	// tests, so rejected items never reach the distance kernel.
 	Filter func(id int32, meta uint64) bool
-	// Prepared, when non-nil, supplies this query's batch-precomputed
-	// retrieval inputs (per-table codes and flipping costs, pre-built
-	// ADC rows). The searcher consumes them in place of its own
-	// per-query projection and ADC build; tables whose Costs entry is
-	// nil fall back to the per-query path. Results are bit-identical
-	// either way — NewSequencePrepared is behaviorally identical to
-	// NewSequenceReuse, and the prepared ADC rows hold the same values
-	// Reranker.ADCRows would produce.
-	Prepared *Prepared
 }
 
 // Stats reports the work one Search performed.
@@ -119,47 +111,44 @@ type Result struct {
 }
 
 // Searcher executes queries against an index with a fixed querying
-// method. It owns all per-query scratch — the visited-epoch array, the
-// Qbuf preprocessing buffer, the per-table sequence states (whose
-// sequences the methods recycle via NewSequenceReuse), the top-k heap
-// and the candidate gather buffer — so a steady-state Search allocates
-// nothing beyond the two returned result slices. The flip side: a
-// Searcher is not safe for concurrent use; keep one per goroutine.
-// Searchers are cheap to pool: binding one to an immutable index
-// snapshot (index.Index.Snapshot) makes every search lock-free, which
-// is how the public API runs concurrent queries — a sync.Pool of
+// method. It owns all per-query scratch, so a steady-state Search
+// allocates nothing beyond the two returned result slices. The flip
+// side: a Searcher is not safe for concurrent use; keep one per
+// goroutine. Searchers are cheap to pool: binding one to an immutable
+// index snapshot (index.Index.Snapshot) makes every search lock-free,
+// which is how the public API runs concurrent queries — a sync.Pool of
 // Searchers per published snapshot.
 type Searcher struct {
 	ix      *index.Index
 	method  Method
-	pm      PreparedMethod // method's prepared-start hook, nil if unsupported
+	qd      bool // method.QDScores(), read once
 	visited []uint32
 	epoch   uint32
 	qbuf    []float32
 
-	// quant/codes/factor are the bound view's serving quantizer state
-	// (nil/0 when the index was built without WithReranking): the
-	// shared id-aligned code slab and the heap-widening factor. The
-	// ADC table, its rotation scratch, the widened heap and the
-	// survivor buffer are per-searcher scratch, so a warmed re-ranked
-	// search allocates nothing extra.
-	quant   *quantization.Reranker
-	codes   []uint8
-	factor  int
+	// own is the view Search prepares for itself; costs and adcRows are
+	// the buffers any view (own or a batch's) is completed from.
+	own     Prepared
+	costs   [][]float64
 	adcRows [][256]float32
 	rotQ    []float32
-	rtop    topK
-	surv    []int32
-	// Flat ADC collection (the default rerank path when early-stop is
-	// off): scored (distance, id) pairs land in these parallel arrays
-	// and one deterministic quickselect at drain keeps the best
-	// `keep` = factor·k — O(candidates) total instead of a heap's
-	// O(candidates·log(factor·k)) sift traffic, which is what made the
-	// widened heap's cost grow superlinearly in the factor.
-	adcDists []float32
-	adcIDs   []int32
+
+	// quant/codes/factor are the bound view's serving quantizer state
+	// (nil/0 without WithReranking): the shared id-aligned code slab and
+	// the survivor factor. Per query, keep = factor·k candidates survive
+	// quantized scoring, collected flat — (adcDists, adcIDs) parallel
+	// arrays, one quickselect at drain, O(candidates) — unless the
+	// early-stop rule needs a running keep-th best, which the rtop heap
+	// provides. ptop is the heap that rule reads: rtop then, top otherwise.
+	quant    *quantization.Reranker
+	codes    []uint8
+	factor   int
 	keep     int
 	flatADC  bool
+	adcDists []float32
+	adcIDs   []int32
+	rtop     topK
+	ptop     *topK
 
 	// tombs is the bound view's tombstone bitmap, cached at
 	// construction and only when the view still has dead ids in its
@@ -169,10 +158,9 @@ type Searcher struct {
 	tombs []uint64
 	meta  []uint64
 
-	// Reusable per-query scratch (sized on first use, recycled after):
-	// the merged probe-sequence states, the bounded top-k heap, the
-	// gather buffer of the batched evaluation stage, and the stage
-	// clock shared by profiling and flight-recorder tracing.
+	// The merged probe-sequence states (whose sequences the method
+	// recycles through Start), the bounded top-k heap, the gather buffer,
+	// the probed bucket, and the stage clock.
 	states []tableState
 	top    topK
 	cand   []int32
@@ -184,10 +172,10 @@ type Searcher struct {
 // tick reads the clock once, closing the interval since the previous
 // tick as one stage span. Profiling (Stats.RetrievalTime /
 // EvaluationTime) and flight-recorder traces both consume its
-// boundaries, so there is no second timing codepath. When off, the
-// pipeline pays one predictable branch per boundary and no clock
-// reads; call sites must guard `if clk.on` so the Work annotations are
-// not even computed on the disabled path.
+// boundaries, so there is no second timing codepath. Only the
+// SearchPrepared driver holds it; no stage function sees the clock or
+// the trace. When off, the driver pays one predictable branch per
+// boundary (`if clk.on`) and computes no Work annotations.
 type stageClock struct {
 	on   bool
 	tr   *trace.Trace // nil when only profiling
@@ -216,7 +204,7 @@ func (c *stageClock) tick(stage trace.Stage, table int32, w trace.Work) {
 
 // tableState is one table's position in the merged best-score-first
 // probe. The sequence pointer persists across queries so the method can
-// recycle its buffers (NewSequenceReuse).
+// recycle its buffers (Method.Start's reuse argument).
 type tableState struct {
 	seq   ProbeSequence
 	code  uint64
@@ -228,8 +216,14 @@ type tableState struct {
 // be mutated while the Searcher is in use; bind to a snapshot when
 // writers are live.
 func NewSearcher(ix *index.Index, method Method) *Searcher {
-	s := &Searcher{ix: ix, method: method, visited: make([]uint32, ix.N)}
-	s.pm, _ = method.(PreparedMethod)
+	nt := len(ix.Tables)
+	s := &Searcher{
+		ix: ix, method: method, qd: method.QDScores(),
+		visited: make([]uint32, ix.N),
+		states:  make([]tableState, nt),
+		costs:   make([][]float64, nt),
+		own:     Prepared{Codes: make([]uint64, nt), Costs: make([][]float64, nt)},
+	}
 	if ix.PendingTombstones() > 0 {
 		s.tombs = ix.TombWords()
 	}
@@ -257,277 +251,107 @@ func (s *Searcher) Qbuf() []float32 {
 	return s.qbuf
 }
 
-// Search runs the full querying pipeline of §2.2 for one query:
-// retrieval (probe sequence over every table, merged best-score-first)
-// and evaluation (exact distances of candidate items, bounded max-heap
-// of size K). It returns the approximate k-nearest neighbors in
-// ascending distance order.
+// Search runs the querying pipeline of §2.2 for one query — retrieval
+// (a probe sequence per table, merged best-score-first) and evaluation
+// (exact distances of the candidates, bounded max-heap of size K) — and
+// returns the approximate k-nearest neighbors in ascending distance
+// order. It is SearchPrepared with nothing prepared.
 func (s *Searcher) Search(q []float32, opt Options) (Result, error) {
-	if opt.K <= 0 {
-		return Result{}, fmt.Errorf("query: K must be positive, got %d", opt.K)
-	}
-	if len(q) != s.ix.Dim {
-		return Result{}, fmt.Errorf("query: query dim %d != index dim %d", len(q), s.ix.Dim)
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped; clear and restart
-		for i := range s.visited {
-			s.visited[i] = 0
-		}
-		s.epoch = 1
-	}
-	if len(s.visited) < s.ix.N { // items were added since construction
-		grown := make([]uint32, s.ix.N)
-		copy(grown, s.visited)
-		s.visited = grown
-	}
+	return s.SearchPrepared(q, nil, opt)
+}
 
-	// One probe sequence per table, merged by current score: always
-	// advance the table whose next bucket has the smallest score. With
-	// one table this is a direct pass-through. States and sequences are
-	// Searcher scratch: slot t always holds table t's sequence, so the
-	// method recycles the right buffers.
+// SearchPrepared is the pipeline. prep is the query's prepared view —
+// per-table codes and flipping costs, ADC rows — as far as the caller
+// has it: a batch engine passes its plan's view (BatchPlan.Fill), nil
+// means nothing is prepared. Whatever is blank (a table with Costs[t]
+// == nil, absent ADC rows) the pipeline completes in place from q,
+// inside the span that consumes it, so results do not depend on who
+// prepared what. prep must cover every table and is borrowed for the
+// call. The body is the stage driver: each stage is one function, each
+// trace.Stage span closes beside the one call of its function, and the
+// stage clock lives only here.
+func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Result, error) {
+	if prep == nil {
+		prep = s.blankView()
+	}
+	if err := s.validate(q, prep, &opt); err != nil {
+		return Result{}, err
+	}
+	s.nextEpoch()
 	var st Stats
 	clk := &s.clock
 	clk.reset(opt.Trace, opt.Profile || opt.Trace != nil)
-	if len(s.states) != len(s.ix.Tables) {
-		s.states = make([]tableState, len(s.ix.Tables))
-	}
-	states := s.states
-	prep := opt.Prepared
-	for t := range states {
-		if prep != nil && s.pm != nil && t < len(prep.Costs) && prep.Costs[t] != nil {
-			states[t].seq = s.pm.NewSequencePrepared(t, prep.Codes[t], prep.Costs[t], states[t].seq)
-		} else {
-			states[t].seq = s.method.NewSequenceReuse(t, q, states[t].seq)
-		}
-		states[t].code, states[t].score, states[t].alive = states[t].seq.Next()
-	}
+
+	s.prepareCodes(q, prep)
+	s.startSequences(prep)
 	if clk.on {
 		clk.tick(trace.StageSequence, -1, trace.Work{})
 	}
-	top := &s.top
-	top.Reset(opt.K)
-	// Quantized re-ranking: build the query's ADC lookup table once (M·K
-	// float32s, cache-resident for the whole probe loop) and widen the
-	// collection heap to factor·k. Candidates are then scored by M table
-	// lookups each during probing; only the heap's survivors get an exact
-	// distance after the loop.
+	// Variants are chosen once per query, so every loop stays monomorphic:
+	// scoring is ADC (survivors evaluated at drain) or exact, gather filters or not.
 	rerank := s.quant != nil
-	useEarlyStop := opt.EarlyStop && opt.Mu > 0 && s.method.QDScores()
-	probeTop := top
-	s.flatADC = false
-	// Prepared ADC rows replace the per-query table build; the
-	// searcher's own scratch is saved and restored so the batch arena
-	// never leaks into pooled per-searcher state (pooled searchers are
-	// shared with the single-query path).
-	var savedADC [][256]float32
-	usePrepADC := false
+	filtered := s.tombs != nil || opt.TagMask != 0 || opt.Filter != nil
+	s.top.Reset(opt.K)
+	s.ptop = &s.top
 	if rerank {
-		if prep != nil && len(prep.ADCRows) == s.quant.M() {
-			savedADC, s.adcRows, usePrepADC = s.adcRows, prep.ADCRows, true
-		} else {
-			s.adcRows = s.quant.ADCRows(q, s.adcRows, s.rotQ)
-		}
-		s.keep = s.factor * opt.K
-		// Early-stop needs a running factor·k-th best for its µ·QD rule,
-		// so that path keeps the widened heap; everything else collects
-		// flat and selects once at drain.
-		if useEarlyStop {
-			s.rtop.Reset(s.keep)
-			probeTop = &s.rtop
-		} else {
-			s.flatADC = true
-			s.adcDists, s.adcIDs = s.adcDists[:0], s.adcIDs[:0]
-		}
+		s.prepareADC(q, prep)
+		s.startRerank(&opt)
 		if clk.on {
 			clk.tick(trace.StageRerank, -1, trace.Work{})
 		}
 	}
 	// Work deltas since the last probe/evaluate span (traced path only).
 	lastGen, lastAband := 0, 0
-
-	for {
-		// Pick the live table with the smallest score (ties: lowest
-		// table id). Table counts are ≤ 30 in all experiments, so a
-		// linear scan beats a heap.
-		best := -1
-		for t := range states {
-			if !states[t].alive {
-				continue
-			}
-			if best < 0 || states[t].score < states[best].score {
-				best = t
-			}
+	for t := s.nextBucket(&opt, &st, -1); t >= 0; t = s.nextBucket(&opt, &st, t) {
+		if clk.on {
+			// Everything since the previous boundary: sequence advances,
+			// best-first scans, empty-bucket emissions, this bucket's lookup.
+			clk.tick(trace.StageProbe, int32(t), trace.Work{Buckets: int32(st.BucketsGenerated - lastGen), Probed: 1})
+			lastGen = st.BucketsGenerated
 		}
-		if best < 0 {
-			break // every sequence exhausted: the whole space was probed
+		var cand []int32
+		filteredBefore := st.Filtered
+		if filtered {
+			cand = s.gatherFiltered(&opt, &st)
+		} else {
+			cand = s.gather()
 		}
-
-		if useEarlyStop || (opt.Radius > 0 && opt.Mu > 0 && s.method.QDScores()) {
-			// µ·QD lower-bounds the true distance of every item in any
-			// bucket with this or a larger QD (Theorem 2); distances
-			// here are squared, so compare against the squared bound.
-			// Under re-ranking the live heap holds ADC distances, so the
-			// rule compares the bound against the quantized k-th best —
-			// an approximation of the exact rule, consistent with the
-			// stage's approximate candidate selection.
-			bound := opt.Mu * states[best].score
-			if useEarlyStop && probeTop.Full() && bound*bound >= probeTop.Worst() {
-				st.EarlyStopped = true
-				break
-			}
-			if opt.Radius > 0 && bound >= opt.Radius {
-				st.EarlyStopped = true
-				break
-			}
+		st.Candidates += len(cand)
+		if clk.on {
+			clk.tick(trace.StageGather, int32(t), trace.Work{Candidates: int32(len(cand)), Filtered: int32(st.Filtered - filteredBefore)})
 		}
-
-		code := states[best].code
-		st.BucketsGenerated++
-		// Slot-handle probe into the LSM storage: the bucket arrives as
-		// one flat id slice per frozen segment plus the memtable slice,
-		// written into the searcher's reusable scratch ref — no map
-		// lookup and no allocation on this path.
-		s.ix.Probe(best, code, &s.ref)
-		if s.ref.Len() > 0 {
-			st.BucketsProbed++
+		if rerank {
+			s.scoreADC(prep.ADCRows, cand, &st)
 			if clk.on {
-				// The probe span covers everything since the previous
-				// boundary: sequence advances, the merged best-first
-				// scan, empty-bucket emissions and this bucket lookup.
-				clk.tick(trace.StageProbe, int32(best), trace.Work{
-					Buckets: int32(st.BucketsGenerated - lastGen), Probed: 1,
-				})
-				lastGen = st.BucketsGenerated
+				clk.tick(trace.StageRerank, int32(t), trace.Work{ADCScored: int32(len(cand))})
 			}
-			// Gather-then-evaluate: first filter every tier against the
-			// visited epochs into the scratch buffer, then run the
-			// distance kernel over the batch. Separating the phases keeps
-			// the visited bookkeeping out of the evaluation loop, which
-			// then streams candidate rows from the contiguous data slab.
-			// The gather loop is the lifecycle interception point: when
-			// the view carries pending tombstones or the query a filter,
-			// the filtering variant drops those ids here — a bitmap test
-			// or predicate call each, never a distance computation. The
-			// plain loops below are the unfiltered fast path, untouched.
-			var cand []int32
-			filteredBefore := st.Filtered
-			if s.tombs != nil || opt.TagMask != 0 || opt.Filter != nil {
-				cand = s.gatherFiltered(&opt, &st)
-			} else {
-				cand = s.cand[:0]
-				for _, seg := range s.ref.Segs {
-					for _, id := range seg {
-						if s.visited[id] != s.epoch {
-							s.visited[id] = s.epoch
-							cand = append(cand, id)
-						}
-					}
-				}
-				for _, id := range s.ref.Tail {
-					if s.visited[id] != s.epoch {
-						s.visited[id] = s.epoch
-						cand = append(cand, id)
-					}
-				}
-			}
-			s.cand = cand
-			st.Candidates += len(cand)
+		} else {
+			s.evaluateBatch(q, cand, &st)
 			if clk.on {
-				clk.tick(trace.StageGather, int32(best), trace.Work{
-					Candidates: int32(len(cand)),
-					Filtered:   int32(st.Filtered - filteredBefore),
-				})
-			}
-			if rerank {
-				if s.flatADC {
-					s.adcCollectBatch(cand, &st)
-				} else {
-					s.adcScoreBatch(cand, &st)
-				}
-				if clk.on {
-					clk.tick(trace.StageRerank, int32(best), trace.Work{
-						ADCScored: int32(len(cand)),
-					})
-				}
-			} else {
-				s.evaluateBatch(q, cand, &st)
-				if clk.on {
-					clk.tick(trace.StageEvaluate, int32(best), trace.Work{
-						Abandoned: int32(st.EarlyAbandoned - lastAband),
-					})
-					lastAband = st.EarlyAbandoned
-				}
+				clk.tick(trace.StageEvaluate, int32(t), trace.Work{Abandoned: int32(st.EarlyAbandoned - lastAband)})
+				lastAband = st.EarlyAbandoned
 			}
 		}
-
-		if opt.MaxCandidates > 0 && st.Candidates >= opt.MaxCandidates {
-			break
-		}
-		if opt.MaxBuckets > 0 && st.BucketsGenerated >= opt.MaxBuckets {
-			break
-		}
-		states[best].code, states[best].score, states[best].alive = states[best].seq.Next()
 	}
 	if clk.on {
 		// Loop-exit remainder: trailing sequence advances, scans and
 		// empty buckets since the last boundary belong to probing.
-		clk.tick(trace.StageProbe, -1, trace.Work{
-			Buckets: int32(st.BucketsGenerated - lastGen),
-		})
+		clk.tick(trace.StageProbe, -1, trace.Work{Buckets: int32(st.BucketsGenerated - lastGen)})
 	}
 	if rerank {
-		// Exact evaluation runs once, over the re-ranking survivors —
-		// at most factor·k items regardless of how many candidates the
-		// probe loop gathered.
-		var surv []int32
-		if s.flatADC {
-			if len(s.adcIDs) > s.keep {
-				adcSelectTop(s.adcDists, s.adcIDs, s.keep)
-				s.adcDists, s.adcIDs = s.adcDists[:s.keep], s.adcIDs[:s.keep]
-			}
-			surv = s.adcIDs
-			if clk.on {
-				// The selection belongs to the rerank stage, not to the
-				// exact evaluation that follows.
-				clk.tick(trace.StageRerank, -1, trace.Work{})
-			}
-		} else {
-			s.surv = s.rtop.AppendIDs(s.surv[:0])
-			surv = s.surv
+		// Drain: select the quantized-best keep, evaluate exactly those —
+		// at most factor·k items however many candidates were gathered.
+		surv := s.selectSurvivors()
+		if clk.on {
+			clk.tick(trace.StageRerank, -1, trace.Work{})
 		}
 		st.Reranked = len(surv)
 		s.evaluateBatch(q, surv, &st)
 		if clk.on {
-			clk.tick(trace.StageEvaluate, -1, trace.Work{
-				Candidates: int32(len(surv)),
-				Abandoned:  int32(st.EarlyAbandoned - lastAband),
-			})
+			clk.tick(trace.StageEvaluate, -1, trace.Work{Candidates: int32(len(surv)), Abandoned: int32(st.EarlyAbandoned - lastAband)})
 		}
 	}
-
-	if usePrepADC {
-		s.adcRows = savedADC
-	}
-
-	ids, dists := top.Sorted()
-	for i := range dists {
-		dists[i] = math.Sqrt(dists[i])
-	}
-	// (ids and dists are the only per-search allocations on the warmed
-	// path; everything else above is Searcher scratch.)
-	if opt.Radius > 0 {
-		// Keep only in-radius items (the heap may hold farther ones).
-		cut := len(dists)
-		for i, d := range dists {
-			if d > opt.Radius {
-				cut = i
-				break
-			}
-		}
-		ids, dists = ids[:cut], dists[:cut]
-	}
+	ids, dists := s.finalize(opt.Radius)
 	if clk.on {
 		clk.tick(trace.StageFinalize, -1, trace.Work{})
 		st.RetrievalTime = clk.dur[trace.StageSequence] + clk.dur[trace.StageProbe]
@@ -536,124 +360,247 @@ func (s *Searcher) Search(q []float32, opt Options) (Result, error) {
 	return Result{IDs: ids, Dists: dists, Stats: st}, nil
 }
 
-// gatherFiltered is the filtering variant of the gather loop: it walks
-// the probed bucket's tiers like the fast path but drops tombstoned ids
-// (bitmap test) and, when the query carries a TagMask or Filter, items
-// whose metadata word fails them. Dropped ids are still marked visited
-// — re-testing them in another bucket would be wasted work — and are
-// counted in Stats.Filtered, not Candidates.
-func (s *Searcher) gatherFiltered(opt *Options, st *Stats) []int32 {
-	cand := s.cand[:0]
-	keep := func(id int32) bool {
-		if w := int(id) >> 6; w < len(s.tombs) && s.tombs[w]&(1<<(uint(id)&63)) != 0 {
-			return false
-		}
-		var meta uint64
-		if s.meta != nil {
-			meta = s.meta[id]
-		}
-		if opt.TagMask != 0 && meta&opt.TagMask != opt.TagMask {
-			return false
-		}
-		if opt.Filter != nil && !opt.Filter(id, meta) {
-			return false
-		}
-		return true
+// blankView returns the searcher's own view with nothing prepared.
+func (s *Searcher) blankView() *Prepared {
+	clear(s.own.Costs)
+	s.own.ADCRows = nil
+	return &s.own
+}
+
+// validate rejects a call the pipeline cannot run.
+func (s *Searcher) validate(q []float32, prep *Prepared, opt *Options) error {
+	if opt.K <= 0 {
+		return fmt.Errorf("query: K must be positive, got %d", opt.K)
 	}
-	for _, seg := range s.ref.Segs {
-		for _, id := range seg {
+	if len(q) != s.ix.Dim {
+		return fmt.Errorf("query: query dim %d != index dim %d", len(q), s.ix.Dim)
+	}
+	if nt := len(s.ix.Tables); len(prep.Codes) != nt || len(prep.Costs) != nt {
+		return fmt.Errorf("query: prepared view covers %d tables, index has %d", len(prep.Codes), nt)
+	}
+	return nil
+}
+
+// nextEpoch opens a fresh visited generation, clearing the array on
+// wraparound and growing it when items were added since construction.
+func (s *Searcher) nextEpoch() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.visited)
+		s.epoch = 1
+	}
+	if len(s.visited) < s.ix.N {
+		grown := make([]uint32, s.ix.N)
+		copy(grown, s.visited)
+		s.visited = grown
+	}
+}
+
+// prepareCodes completes the view's retrieval half: every table the
+// caller left blank (Costs[t] == nil — the searcher's own view, or a
+// batch view over a hasher with no affine projection) gets its code and
+// flipping costs from the hasher, into the searcher's cost rows.
+// Hamming-score methods leave Costs[t] nil: they never read it.
+func (s *Searcher) prepareCodes(q []float32, prep *Prepared) {
+	for t, tab := range s.ix.Tables {
+		if prep.Costs[t] == nil {
+			prep.Codes[t], s.costs[t] = project(s.qd, tab.Hasher, q, s.costs[t])
+			prep.Costs[t] = s.costs[t]
+		}
+	}
+}
+
+// prepareADC completes the view's re-ranking half: absent ADC rows are
+// built into the searcher's own (M·K float32s, cache-resident for the
+// whole probe loop).
+func (s *Searcher) prepareADC(q []float32, prep *Prepared) {
+	if len(prep.ADCRows) != s.quant.M() {
+		s.adcRows = s.quant.ADCRows(q, s.adcRows, s.rotQ)
+		prep.ADCRows = s.adcRows
+	}
+}
+
+// startSequences is the sequence stage: one probe sequence per table,
+// started from the prepared pair and advanced to its first bucket. Slot
+// t always holds table t's sequence, so the method recycles the right
+// buffers.
+func (s *Searcher) startSequences(prep *Prepared) {
+	for t := range s.states {
+		st := &s.states[t]
+		st.seq = s.method.Start(t, prep.Codes[t], prep.Costs[t], st.seq)
+		st.code, st.score, st.alive = st.seq.Next()
+	}
+}
+
+// startRerank arms quantized scoring for one query: keep = factor·k
+// survivors, collected by the rtop heap when the early-stop rule needs
+// a running keep-th best (which then replaces the exact heap as the
+// rule's reference), flat otherwise.
+func (s *Searcher) startRerank(opt *Options) {
+	s.keep = s.factor * opt.K
+	s.flatADC = !(opt.EarlyStop && opt.Mu > 0 && s.qd)
+	s.adcDists, s.adcIDs = s.adcDists[:0], s.adcIDs[:0]
+	if !s.flatADC {
+		s.rtop.Reset(s.keep)
+		s.ptop = &s.rtop
+	}
+}
+
+// nextBucket is the probe stage: it advances the merged probe — the
+// table whose next bucket has the smallest score goes first (ties:
+// lowest table id; table counts are ≤ 30, so a linear scan beats a
+// heap) — until it lands on a non-empty bucket, which it leaves in
+// s.ref, returning that bucket's table. prev is the table whose bucket
+// the caller just consumed (-1 on the first call). It returns -1 when
+// the search is over: a budget is spent, the early-stop or radius rule
+// fired, or every sequence is exhausted.
+func (s *Searcher) nextBucket(opt *Options, st *Stats, prev int) int {
+	states := s.states
+	for {
+		if prev >= 0 {
+			if opt.MaxCandidates > 0 && st.Candidates >= opt.MaxCandidates {
+				return -1
+			}
+			if opt.MaxBuckets > 0 && st.BucketsGenerated >= opt.MaxBuckets {
+				return -1
+			}
+			p := &states[prev]
+			p.code, p.score, p.alive = p.seq.Next()
+		}
+		best := -1
+		for t := range states {
+			if states[t].alive && (best < 0 || states[t].score < states[best].score) {
+				best = t
+			}
+		}
+		if best < 0 {
+			return -1
+		}
+		if s.qd && opt.Mu > 0 && (opt.EarlyStop || opt.Radius > 0) {
+			// µ·QD lower-bounds the true distance of every item in any
+			// bucket with this or a larger QD (Theorem 2); distances
+			// here are squared, so compare against the squared bound.
+			// Under re-ranking ptop holds ADC distances, so the rule
+			// compares the bound against the quantized keep-th best —
+			// an approximation of the exact rule, consistent with the
+			// stage's approximate candidate selection.
+			bound := opt.Mu * states[best].score
+			if opt.EarlyStop && s.ptop.Full() && bound*bound >= s.ptop.Worst() {
+				st.EarlyStopped = true
+				return -1
+			}
+			if opt.Radius > 0 && bound >= opt.Radius {
+				st.EarlyStopped = true
+				return -1
+			}
+		}
+		st.BucketsGenerated++
+		// The bucket arrives as one flat id slice per frozen segment plus
+		// the memtable slice, in the reusable ref: no map lookup, no alloc.
+		s.ix.Probe(best, states[best].code, &s.ref)
+		if s.ref.Len() > 0 {
+			st.BucketsProbed++
+			return best
+		}
+		prev = best
+	}
+}
+
+// gather is the gather stage's fast path: every id of the probed
+// bucket not yet seen by this query lands in the candidate buffer.
+// Keeping the visited bookkeeping out of the scoring loops lets those
+// stream candidate rows from the contiguous slabs. Segments and the
+// memtable tail walk through one loop.
+func (s *Searcher) gather() []int32 {
+	cand := s.cand[:0]
+	segs := s.ref.Segs
+	for i := 0; i <= len(segs); i++ {
+		ids := s.ref.Tail
+		if i < len(segs) {
+			ids = segs[i]
+		}
+		for _, id := range ids {
 			if s.visited[id] != s.epoch {
 				s.visited[id] = s.epoch
-				if keep(id) {
-					cand = append(cand, id)
-				} else {
-					st.Filtered++
-				}
-			}
-		}
-	}
-	for _, id := range s.ref.Tail {
-		if s.visited[id] != s.epoch {
-			s.visited[id] = s.epoch
-			if keep(id) {
 				cand = append(cand, id)
-			} else {
-				st.Filtered++
 			}
 		}
 	}
+	s.cand = cand
 	return cand
 }
 
-// adcScoreBatch runs the re-ranking stage over one gathered candidate
-// batch: each id costs M table lookups into the query's ADC table (no
-// vector row is touched — the whole batch reads the byte-code slab and
-// an ~M·K·4-byte table, both cache-resident), and the quantized
-// distance competes for a slot in the widened rerank heap.
-func (s *Searcher) adcScoreBatch(ids []int32, st *Stats) {
-	m := s.quant.M()
-	rows, codes, rtop := s.adcRows, s.codes, &s.rtop
+// gatherFiltered is the gather stage when the view carries pending
+// tombstones or the query a tag mask or filter: the same walk, but
+// tombstoned ids (bitmap test) and items whose metadata word fails the
+// mask or the predicate are dropped before any distance work. Dropped
+// ids are still marked visited — re-testing them in another bucket is
+// wasted work — and count in Stats.Filtered, not Candidates.
+func (s *Searcher) gatherFiltered(opt *Options, st *Stats) []int32 {
+	cand := s.cand[:0]
+	segs := s.ref.Segs
+	for i := 0; i <= len(segs); i++ {
+		ids := s.ref.Tail
+		if i < len(segs) {
+			ids = segs[i]
+		}
+		for _, id := range ids {
+			if s.visited[id] == s.epoch {
+				continue
+			}
+			s.visited[id] = s.epoch
+			if w := int(id) >> 6; w < len(s.tombs) && s.tombs[w]&(1<<(uint(id)&63)) != 0 {
+				st.Filtered++
+				continue
+			}
+			var meta uint64
+			if s.meta != nil {
+				meta = s.meta[id]
+			}
+			if (opt.TagMask != 0 && meta&opt.TagMask != opt.TagMask) || (opt.Filter != nil && !opt.Filter(id, meta)) {
+				st.Filtered++
+				continue
+			}
+			cand = append(cand, id)
+		}
+	}
+	s.cand = cand
+	return cand
+}
+
+// scoreADC is the re-ranking stage over one gathered batch: adcKernel
+// scores every id, and the scores either stay where the kernel wrote
+// them (flat collection) or are offered to the rtop heap (early stop).
+// The flat buffer is folded down to its running top-keep whenever it
+// outgrows a few multiples of keep: selection retains every candidate
+// that could still survive, so folding only bounds memory.
+func (s *Searcher) scoreADC(rows [][256]float32, ids []int32, st *Stats) {
+	st.ADCScored += len(ids)
+	base := 0
+	if s.flatADC {
+		base = len(s.adcDists)
+	}
+	need := base + len(ids)
+	s.adcDists = slices.Grow(s.adcDists[:base], len(ids))[:need]
+	out := s.adcDists[base:need:need]
+	adcKernel(rows, s.codes, ids, out)
+	if s.flatADC {
+		s.adcIDs = append(s.adcIDs, ids...)
+		if len(s.adcIDs) > max(4*s.keep, 4096) {
+			adcSelectTop(s.adcDists, s.adcIDs, s.keep)
+			s.adcDists, s.adcIDs = s.adcDists[:s.keep], s.adcIDs[:s.keep]
+		}
+		return
+	}
 	// Track the heap's worst locally: once full, most candidates lose on
 	// one float compare and never pay the Offer call.
+	rtop := &s.rtop
 	bound := math.Inf(1)
 	if rtop.Full() {
 		bound = rtop.Worst()
 	}
-	if m == 8 && len(rows) == 8 {
-		// The default shape gets a fully unrolled loop over fixed-size
-		// array views: every bounds check is either hoisted into the two
-		// conversions or eliminated (a byte can't index past a [256]
-		// row), and the pairwise float32 sums pipeline independently.
-		r := (*[8][256]float32)(rows)
-		for _, id := range ids {
-			off := int(id) * 8
-			c := (*[8]uint8)(codes[off : off+8])
-			d := float64((r[0][c[0]] + r[1][c[1]] + r[2][c[2]] + r[3][c[3]]) +
-				(r[4][c[4]] + r[5][c[5]] + r[6][c[6]] + r[7][c[7]]))
-			if d > bound {
-				continue
-			}
-			if rtop.Offer(d, id) && rtop.Full() {
-				bound = rtop.Worst()
-			}
-		}
-		st.ADCScored += len(ids)
-		return
-	}
-	if m == 16 && len(rows) == 16 {
-		// Same array-view trick for the high-fidelity shape: sixteen
-		// check-free lookups in four independent 4-wide chains.
-		r := (*[16][256]float32)(rows)
-		for _, id := range ids {
-			off := int(id) * 16
-			c := (*[16]uint8)(codes[off : off+16])
-			d := float64(((r[0][c[0]] + r[1][c[1]] + r[2][c[2]] + r[3][c[3]]) +
-				(r[4][c[4]] + r[5][c[5]] + r[6][c[6]] + r[7][c[7]])) +
-				((r[8][c[8]] + r[9][c[9]] + r[10][c[10]] + r[11][c[11]]) +
-					(r[12][c[12]] + r[13][c[13]] + r[14][c[14]] + r[15][c[15]])))
-			if d > bound {
-				continue
-			}
-			if rtop.Offer(d, id) && rtop.Full() {
-				bound = rtop.Worst()
-			}
-		}
-		st.ADCScored += len(ids)
-		return
-	}
-	for _, id := range ids {
-		off := int(id) * m
-		code := codes[off : off+m : off+m]
-		var d0, d1 float32
-		sub := 0
-		for ; sub+2 <= m; sub += 2 {
-			d0 += rows[sub][code[sub]]
-			d1 += rows[sub+1][code[sub+1]]
-		}
-		if sub < m {
-			d0 += rows[sub][code[sub]]
-		}
-		d := float64(d0) + float64(d1)
+	for i, id := range ids {
+		d := float64(out[i])
 		if d > bound {
 			continue
 		}
@@ -661,36 +608,22 @@ func (s *Searcher) adcScoreBatch(ids []int32, st *Stats) {
 			bound = rtop.Worst()
 		}
 	}
-	st.ADCScored += len(ids)
 }
 
-// adcCollectBatch is the flat counterpart of adcScoreBatch: quantized
-// distances are appended to the (dists, ids) scratch arrays with no
-// per-candidate heap work; one quickselect at drain (adcSelectTop)
-// keeps the best factor·k. For unbounded-budget searches the buffer is
-// folded back down to the running top-keep whenever it outgrows a few
-// multiples of keep — selection retains every candidate that could
-// still survive, so compaction never changes the final set, it only
-// bounds memory.
-func (s *Searcher) adcCollectBatch(ids []int32, st *Stats) {
-	m := s.quant.M()
-	rows, codes := s.adcRows, s.codes
-	// Pre-grow the output arrays once per batch: the scoring loops then
-	// store by index (one bounds check the compiler can hoist) instead
-	// of paying two append capacity checks per candidate.
-	dd, di := s.adcDists, s.adcIDs
-	base := len(dd)
-	need := base + len(ids)
-	if cap(dd) < need {
-		grown := make([]float32, base, need+need/2)
-		copy(grown, dd)
-		dd = grown
-	}
-	dd = dd[:need]
-	di = append(di, ids...)
-	out := dd[base:need:need]
-	switch {
-	case m == 8 && len(rows) == 8:
+// adcKernel writes each id's quantized distance to the query into out
+// (len(out) == len(ids)): M lookups into the query's ADC rows, indexed
+// by the id's byte code — no vector row is touched, only the code slab
+// and an ~M·K·4-byte table, both cache-resident. It is the package's one
+// ADC scoring loop; the float32 summation order of each shape is part
+// of the result (eval_test.go's refADC pins it).
+func adcKernel(rows [][256]float32, codes []uint8, ids []int32, out []float32) {
+	out = out[:len(ids)]
+	switch m := len(rows); m {
+	case 8:
+		// The default shape gets a fully unrolled loop over fixed-size
+		// array views: every bounds check is either hoisted into the two
+		// conversions or eliminated (a byte can't index past a [256]
+		// row), and the pairwise float32 sums pipeline independently.
 		r := (*[8][256]float32)(rows)
 		for i, id := range ids {
 			off := int(id) * 8
@@ -698,7 +631,9 @@ func (s *Searcher) adcCollectBatch(ids []int32, st *Stats) {
 			out[i] = (r[0][c[0]] + r[1][c[1]] + r[2][c[2]] + r[3][c[3]]) +
 				(r[4][c[4]] + r[5][c[5]] + r[6][c[6]] + r[7][c[7]])
 		}
-	case m == 16 && len(rows) == 16:
+	case 16:
+		// Same array-view trick for the high-fidelity shape: sixteen
+		// check-free lookups in four independent 4-wide chains.
 		r := (*[16][256]float32)(rows)
 		for i, id := range ids {
 			off := int(id) * 16
@@ -724,16 +659,41 @@ func (s *Searcher) adcCollectBatch(ids []int32, st *Stats) {
 			out[i] = d0 + d1
 		}
 	}
-	st.ADCScored += len(ids)
-	lim := s.keep * 4
-	if lim < 4096 {
-		lim = 4096
+}
+
+// selectSurvivors closes the re-ranking stage: the keep quantized-best
+// candidates, by one deterministic quickselect over the flat buffer or
+// by draining the early-stop heap. The order is unspecified; exact
+// evaluation ranks them.
+func (s *Searcher) selectSurvivors() []int32 {
+	if !s.flatADC {
+		s.adcIDs = s.rtop.AppendIDs(s.adcIDs[:0])
+		return s.adcIDs
 	}
-	if len(di) > lim {
-		adcSelectTop(dd, di, s.keep)
-		dd, di = dd[:s.keep], di[:s.keep]
+	if len(s.adcIDs) > s.keep {
+		adcSelectTop(s.adcDists, s.adcIDs, s.keep)
+		s.adcDists, s.adcIDs = s.adcDists[:s.keep], s.adcIDs[:s.keep]
 	}
-	s.adcDists, s.adcIDs = dd, di
+	return s.adcIDs
+}
+
+// finalize drains the top-k heap into the result slices — the only two
+// allocations of a warmed search — in ascending distance order, turns
+// squared distances into distances and applies the radius cut (the
+// heap may hold items farther than a positive Radius).
+func (s *Searcher) finalize(radius float64) ([]int32, []float64) {
+	ids, dists := s.top.Sorted()
+	for i := range dists {
+		dists[i] = math.Sqrt(dists[i])
+	}
+	if radius > 0 {
+		for i, d := range dists {
+			if d > radius {
+				return ids[:i], dists[:i]
+			}
+		}
+	}
+	return ids, dists
 }
 
 // evaluateBatch runs the evaluation stage over one gathered candidate

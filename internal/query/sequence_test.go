@@ -43,7 +43,7 @@ func TestGQREmitsEveryCodeExactlyOnce(t *testing.T) {
 	ix, ds := buildIndex(t, 300, 12, 8, 1)
 	g := NewGQR(ix)
 	for qi := 0; qi < 5; qi++ {
-		seq := g.NewSequence(0, ds.Query(qi))
+		seq := NewSequence(g, ix, 0, ds.Query(qi))
 		seen := make(map[uint64]bool)
 		for {
 			code, _, ok := seq.Next()
@@ -71,7 +71,7 @@ func TestGQRScoresAreTrueQDsAndNonDecreasing(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := ds.Query(qi)
 		qcode := hasher.QueryProjection(q, costs)
-		seq := g.NewSequence(0, q)
+		seq := NewSequence(g, ix, 0, q)
 		prev := -1.0
 		for {
 			code, score, ok := seq.Next()
@@ -101,7 +101,7 @@ func TestGQREquivalentToQR(t *testing.T) {
 		q := ds.Query(qi)
 		var gqrCodes []uint64
 		var gqrScores []float64
-		seq := g.NewSequence(0, q)
+		seq := NewSequence(g, ix, 0, q)
 		for {
 			code, score, ok := seq.Next()
 			if !ok {
@@ -113,7 +113,7 @@ func TestGQREquivalentToQR(t *testing.T) {
 			gqrCodes = append(gqrCodes, code)
 			gqrScores = append(gqrScores, score)
 		}
-		qrSeq := qr.NewSequence(0, q)
+		qrSeq := NewSequence(qr, ix, 0, q)
 		i := 0
 		for {
 			code, score, ok := qrSeq.Next()
@@ -144,8 +144,8 @@ func TestGQRSharedTreeIdentical(t *testing.T) {
 	plain := NewGQR(ix)
 	shared := NewGQRSharedTree(ix)
 	for qi := 0; qi < 5; qi++ {
-		a := plain.NewSequence(0, ds.Query(qi))
-		b := shared.NewSequence(0, ds.Query(qi))
+		a := NewSequence(plain, ix, 0, ds.Query(qi))
+		b := NewSequence(shared, ix, 0, ds.Query(qi))
 		for {
 			ca, sa, oka := a.Next()
 			cb, sb, okb := b.Next()
@@ -186,7 +186,7 @@ func TestGHREmitsEveryCodeInHammingOrder(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := ds.Query(qi)
 		qcode := hasher.Code(q)
-		seq := g.NewSequence(0, q)
+		seq := NewSequence(g, ix, 0, q)
 		seen := make(map[uint64]bool)
 		prev := -1
 		for {
@@ -220,7 +220,7 @@ func TestHREmitsExistingBucketsInHammingOrder(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := ds.Query(qi)
 		qcode := hasher.Code(q)
-		seq := h.NewSequence(0, q)
+		seq := NewSequence(h, ix, 0, q)
 		count := 0
 		prev := -1
 		for {
@@ -252,7 +252,7 @@ func TestQREmitsExistingBucketsInQDOrder(t *testing.T) {
 	for qi := 0; qi < 5; qi++ {
 		q := ds.Query(qi)
 		qcode := hasher.QueryProjection(q, costs)
-		seq := qr.NewSequence(0, q)
+		seq := NewSequence(qr, ix, 0, q)
 		count := 0
 		prev := -1.0
 		for {
@@ -286,7 +286,7 @@ func TestMIHMatchesHR(t *testing.T) {
 		q := ds.Query(qi)
 		collect := func(m Method) map[float64][]uint64 {
 			groups := make(map[float64][]uint64)
-			seq := m.NewSequence(0, q)
+			seq := NewSequence(m, ix, 0, q)
 			for {
 				code, score, ok := seq.Next()
 				if !ok {
@@ -362,7 +362,7 @@ func TestGQRWorksWithAllLearners(t *testing.T) {
 			t.Fatalf("%s: %v", l.Name(), err)
 		}
 		g := NewGQR(ix)
-		seq := g.NewSequence(0, ds.Query(0))
+		seq := NewSequence(g, ix, 0, ds.Query(0))
 		seen := make(map[uint64]bool)
 		prev := -1.0
 		for {
@@ -388,7 +388,7 @@ func TestFig2BucketCountsShape(t *testing.T) {
 	// GHR group sizes.
 	ix, ds := buildIndex(t, 100, 16, 12, 1)
 	g := NewGHR(ix)
-	seq := g.NewSequence(0, ds.Query(0))
+	seq := NewSequence(g, ix, 0, ds.Query(0))
 	groups := make(map[int]int)
 	for {
 		_, score, ok := seq.Next()
@@ -411,11 +411,11 @@ func BenchmarkGQRGenerateBucket(b *testing.B) {
 	g := NewGQR(ix)
 	q := ds.Query(0)
 	b.ResetTimer()
-	seq := g.NewSequence(0, q)
+	seq := NewSequence(g, ix, 0, q)
 	for i := 0; i < b.N; i++ {
 		code, _, ok := seq.Next()
 		if !ok {
-			seq = g.NewSequence(0, q)
+			seq = NewSequence(g, ix, 0, q)
 			continue
 		}
 		benchSink ^= code
@@ -427,11 +427,11 @@ func BenchmarkGHRGenerateBucket(b *testing.B) {
 	g := NewGHR(ix)
 	q := ds.Query(0)
 	b.ResetTimer()
-	seq := g.NewSequence(0, q)
+	seq := NewSequence(g, ix, 0, q)
 	for i := 0; i < b.N; i++ {
 		code, _, ok := seq.Next()
 		if !ok {
-			seq = g.NewSequence(0, q)
+			seq = NewSequence(g, ix, 0, q)
 			continue
 		}
 		benchSink ^= code
@@ -448,8 +448,8 @@ func TestGQRNaiveEquivalentToGQR(t *testing.T) {
 		t.Fatal("naive variant misdeclares itself")
 	}
 	for qi := 0; qi < 5; qi++ {
-		a := heap.NewSequence(0, ds.Query(qi))
-		b := naive.NewSequence(0, ds.Query(qi))
+		a := NewSequence(heap, ix, 0, ds.Query(qi))
+		b := NewSequence(naive, ix, 0, ds.Query(qi))
 		for {
 			ca, sa, oka := a.Next()
 			cb, sb, okb := b.Next()

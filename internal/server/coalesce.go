@@ -27,9 +27,9 @@ type coalescer struct {
 	pending map[batchKey]*pendingBatch
 }
 
-// batchKey is the full set of search parameters a /search request
-// carries; only requests with equal keys may share a batch (they must
-// be answerable by one SearchBatchWithStats call).
+// batchKey is the full set of search parameters a /search or /batch
+// request carries; only requests with equal keys may share a batch
+// (they must be answerable by one SearchBatchWithStats call).
 type batchKey struct {
 	k          int
 	maxCand    int
@@ -37,7 +37,31 @@ type batchKey struct {
 	radius     float64
 	earlyStop  bool
 	tagMask    uint64
-	stats      bool
+	stats      bool // includeStats: per-query timing is wanted
+}
+
+// opts renders the key as the search options it stands for.
+func (k batchKey) opts() []gqr.SearchOption {
+	var opts []gqr.SearchOption
+	if k.maxCand > 0 {
+		opts = append(opts, gqr.WithMaxCandidates(k.maxCand))
+	}
+	if k.maxBuckets > 0 {
+		opts = append(opts, gqr.WithMaxBuckets(k.maxBuckets))
+	}
+	if k.radius > 0 {
+		opts = append(opts, gqr.WithRadius(k.radius))
+	}
+	if k.earlyStop {
+		opts = append(opts, gqr.WithEarlyStop())
+	}
+	if k.tagMask != 0 {
+		opts = append(opts, gqr.WithTagMask(k.tagMask))
+	}
+	if k.stats {
+		opts = append(opts, gqr.WithProfile())
+	}
+	return opts
 }
 
 // coalesceResult is one waiter's outcome, delivered on its buffered
@@ -135,11 +159,7 @@ func (c *coalescer) flush(b *pendingBatch) {
 	n := len(b.waiters)
 	c.h.cBatches.Inc()
 	c.h.hBatchSize.Observe(float64(n))
-	opts := optsOf(b.key.maxCand, b.key.maxBuckets, b.key.radius, b.key.earlyStop, b.key.tagMask)
-	if b.key.stats {
-		opts = append(opts, gqr.WithProfile())
-	}
-	results, err := c.h.ix.SearchBatchWithStats(b.queries, b.key.k, opts...)
+	results, err := c.h.ix.SearchBatchWithStats(b.queries, b.key.k, b.key.opts()...)
 	if err != nil {
 		for _, ch := range b.waiters {
 			ch <- coalesceResult{err: err}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -224,4 +225,99 @@ func TestBatchEndpointAggregateStats(t *testing.T) {
 	if plain.Batch == nil || plain.Batch.SlowestQuery != -1 {
 		t.Fatalf("plain batch summary = %+v, want SlowestQuery=-1", plain.Batch)
 	}
+}
+
+// noDeadline hides a context's deadline from the coalescer (so the
+// window is not shrunk to it) while keeping its Done and Err: the shape
+// of a request whose time ran out while it waited for its batch.
+type noDeadline struct{ context.Context }
+
+func (noDeadline) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+// TestCoalescedWaiterContextEnds covers a waiter whose context ends
+// before its batch flushes. Neither outcome is the client's fault, so
+// neither is a 400: a passed deadline is answered 503, and a client that
+// hung up is written nothing at all.
+func TestCoalescedWaiterContextEnds(t *testing.T) {
+	ds := dataset.Generate(dataset.GeneratorSpec{
+		Name: "coal", N: 300, Dim: 12, Clusters: 4, LatentDim: 3, Seed: 81,
+	})
+	ds.SampleQueries(1, 82)
+	ix, err := gqr.Build(ds.Vectors, ds.Dim, gqr.WithSeed(83))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A window no test outlives: only the context can end the wait.
+	h := New(ix, WithCoalescing(time.Hour, 64))
+	body, err := json.Marshal(SearchRequest{Query: ds.Query(0), K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if rec := serve(noDeadline{expired}); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("deadline exceeded while waiting: status %d, want 503 (body %q)", rec.Code, rec.Body)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec := serve(canceled); rec.Body.Len() != 0 || len(rec.Header()) != 0 {
+		t.Fatalf("client gone while waiting: wrote headers %v body %q, want nothing", rec.Header(), rec.Body)
+	}
+}
+
+// gateWriter blocks every Write until released, reporting the first.
+type gateWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return len(p), nil
+}
+
+// TestSearchPathsNeverTakeWriterLock holds the index's writer lock (a
+// Save into a writer that does not drain — the position an Add's WAL
+// fsync puts it in) and requires /batch and a coalesced /search to
+// answer anyway. Searches are lock-free on a published snapshot; what
+// used to queue them here was asking Index.Stats, which takes that
+// lock, for the immutable dimension on every request.
+func TestSearchPathsNeverTakeWriterLock(t *testing.T) {
+	coal, _, ds := coalescingServer(t, time.Millisecond, 64)
+	ix := coal.Config.Handler.(*Handler).ix
+	gw := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- ix.Save(gw) }()
+	<-gw.entered // the writer lock is held from here until release
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var br BatchResponse
+		if resp := post(t, coal.URL+"/batch", BatchRequest{Queries: [][]float32{ds.Query(0), ds.Query(1)}, K: 3}, &br); resp.StatusCode != http.StatusOK {
+			t.Errorf("/batch status %d", resp.StatusCode)
+		}
+		var sr SearchResponse
+		if resp := post(t, coal.URL+"/search", SearchRequest{Query: ds.Query(0), K: 3}, &sr); resp.StatusCode != http.StatusOK || len(sr.Neighbors) != 3 {
+			t.Errorf("coalesced /search status %d, %d neighbors", resp.StatusCode, len(sr.Neighbors))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("a search request queued behind the writer lock")
+	}
+	close(gw.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	<-done
 }

@@ -154,15 +154,7 @@ func (h *Handler) recordSearchWork(r *http.Request, st gqr.SearchStats, n int) {
 	}
 	if wc, ok := r.Context().Value(workKey{}).(*workCarrier); ok {
 		wc.queries += n
-		wc.stats.BucketsGenerated += st.BucketsGenerated
-		wc.stats.BucketsProbed += st.BucketsProbed
-		wc.stats.Candidates += st.Candidates
-		wc.stats.EarlyAbandoned += st.EarlyAbandoned
-		wc.stats.ADCScored += st.ADCScored
-		wc.stats.Reranked += st.Reranked
-		wc.stats.EarlyStopped = wc.stats.EarlyStopped || st.EarlyStopped
-		wc.stats.RetrievalTime += st.RetrievalTime
-		wc.stats.EvaluationTime += st.EvaluationTime
+		wc.stats.Merge(st)
 	}
 }
 

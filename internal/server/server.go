@@ -24,6 +24,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +43,11 @@ import (
 // logging middleware plus the metrics registry behind /metrics and
 // /statsz.
 type Handler struct {
-	ix    *gqr.Index
+	ix *gqr.Index
+	// dim is the index's vector dimension, immutable after Build and
+	// read once in New: Index.Stats takes the writer lock (queuing behind
+	// an Add's WAL fsync) and merges every table's bucket-code lists.
+	dim   int
 	mux   *http.ServeMux
 	log   *slog.Logger
 	reg   *metrics.Registry
@@ -136,7 +141,7 @@ func WithCoalescing(window time.Duration, maxBatch int) Option {
 
 // New wraps an index in an http.Handler.
 func New(ix *gqr.Index, opts ...Option) *Handler {
-	h := &Handler{ix: ix, mux: http.NewServeMux(), start: time.Now()}
+	h := &Handler{ix: ix, dim: ix.Stats().Dim, mux: http.NewServeMux(), start: time.Now()}
 	for _, o := range opts {
 		o(h)
 	}
@@ -288,42 +293,38 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	// Coalescing path: well-formed queries ride a shared batch (results
-	// are bit-identical to a direct search). Malformed ones fall
-	// through to the direct path, whose validation produces the right
-	// error without poisoning a batch's flat block.
-	if h.coal != nil && len(req.Query) == h.ix.Stats().Dim && req.K > 0 {
-		key := batchKey{
-			k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
-			radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
-			stats: req.IncludeStats,
-		}
-		res := h.coal.submit(r.Context(), key, req.Query)
-		if res.err != nil {
-			h.httpError(w, http.StatusBadRequest, "%v", res.err)
-			return
-		}
-		h.recordSearchWork(r, res.st, 1)
-		resp := SearchResponse{Neighbors: toJSON(res.nbrs)}
-		if req.IncludeStats {
-			resp.Stats = &res.st
-		}
-		h.writeJSON(w, resp)
+	key := batchKey{
+		k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
+		radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
+		stats: req.IncludeStats,
+	}
+	var res coalesceResult
+	if h.coal != nil && len(req.Query) == h.dim && req.K > 0 {
+		// Coalescing path: well-formed queries ride a shared batch
+		// (results are bit-identical to a direct search). Malformed ones
+		// take the direct path, whose validation produces the right error
+		// without poisoning a batch's flat block.
+		res = h.coal.submit(r.Context(), key, req.Query)
+	} else {
+		res.nbrs, res.st, res.err = h.ix.SearchWithStats(req.Query, req.K, key.opts()...)
+	}
+	switch {
+	case errors.Is(res.err, context.Canceled):
+		// The client hung up while its batch was pending: nobody is
+		// left to read a response.
+		return
+	case errors.Is(res.err, context.DeadlineExceeded):
+		// The request was fine; the server ran out of its time.
+		h.httpError(w, http.StatusServiceUnavailable, "%v", res.err)
+		return
+	case res.err != nil:
+		h.httpError(w, http.StatusBadRequest, "%v", res.err)
 		return
 	}
-	opts := optsOf(req.MaxCandidates, req.MaxBuckets, req.Radius, req.EarlyStop, req.TagMask)
+	h.recordSearchWork(r, res.st, 1)
+	resp := SearchResponse{Neighbors: toJSON(res.nbrs)}
 	if req.IncludeStats {
-		opts = append(opts, gqr.WithProfile())
-	}
-	nbrs, st, err := h.ix.SearchWithStats(req.Query, req.K, opts...)
-	if err != nil {
-		h.httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	h.recordSearchWork(r, st, 1)
-	resp := SearchResponse{Neighbors: toJSON(nbrs)}
-	if req.IncludeStats {
-		resp.Stats = &st
+		resp.Stats = &res.st
 	}
 	h.writeJSON(w, resp)
 }
@@ -338,7 +339,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	dim := h.ix.Stats().Dim
+	dim := h.dim
 	// Flatten only well-formed queries; ragged ones become per-entry
 	// errors instead of failing the whole batch.
 	resp := BatchResponse{Results: make([]BatchEntry, len(req.Queries))}
@@ -352,11 +353,12 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		flat = append(flat, q...)
 		backMap = append(backMap, i)
 	}
-	opts := optsOf(req.MaxCandidates, req.MaxBuckets, req.Radius, req.EarlyStop, req.TagMask)
-	if req.IncludeStats {
-		opts = append(opts, gqr.WithProfile())
+	key := batchKey{
+		k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
+		radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
+		stats: req.IncludeStats,
 	}
-	results, err := h.ix.SearchBatchWithStats(flat, req.K, opts...)
+	results, err := h.ix.SearchBatchWithStats(flat, req.K, key.opts()...)
 	if err != nil {
 		// Structural failure (bad k, bad block): the whole batch is
 		// invalid, not any single query.
@@ -474,26 +476,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-func optsOf(maxCand, maxBuckets int, radius float64, earlyStop bool, tagMask uint64) []gqr.SearchOption {
-	var opts []gqr.SearchOption
-	if maxCand > 0 {
-		opts = append(opts, gqr.WithMaxCandidates(maxCand))
-	}
-	if maxBuckets > 0 {
-		opts = append(opts, gqr.WithMaxBuckets(maxBuckets))
-	}
-	if radius > 0 {
-		opts = append(opts, gqr.WithRadius(radius))
-	}
-	if earlyStop {
-		opts = append(opts, gqr.WithEarlyStop())
-	}
-	if tagMask != 0 {
-		opts = append(opts, gqr.WithTagMask(tagMask))
-	}
-	return opts
 }
 
 func toJSON(nbrs []gqr.Neighbor) []NeighborJSON {

@@ -98,9 +98,13 @@ func (r *Recorder) Enabled() bool {
 }
 
 // Begin registers one query and returns its trace, or nil when this
-// query is not traced (sampling missed and slow capture is off). The
-// returned trace is pooled scratch; hand it back via Finish.
+// query is not traced (sampling missed and slow capture is off, or r is
+// nil: tracing was never enabled). The returned trace is pooled
+// scratch; hand it back via Finish.
 func (r *Recorder) Begin(method string) *Trace {
+	if r == nil {
+		return nil
+	}
 	n := r.seq.Add(1)
 	sampled := r.cfg.SampleEvery > 0 && n%uint64(r.cfg.SampleEvery) == 0
 	if !sampled && r.cfg.SlowQuery <= 0 {

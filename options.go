@@ -293,6 +293,25 @@ type searchConfig struct {
 // SearchOption configures one Search call.
 type SearchOption func(*searchConfig)
 
+// configOf folds a call's options into its searchConfig.
+func configOf(opts []SearchOption) searchConfig {
+	var sc searchConfig
+	for _, o := range opts {
+		o(&sc)
+	}
+	return sc
+}
+
+// forShard returns the config one shard's leg of a fan-out runs under:
+// shards see local ids and a caller's filter global ones, so the filter
+// is wrapped to translate by the shard's id base.
+func (sc searchConfig) forShard(base int) searchConfig {
+	if f := sc.filter; f != nil {
+		sc.filter = func(id int, meta uint64) bool { return f(id+base, meta) }
+	}
+	return sc
+}
+
 // WithMaxCandidates bounds the number of items evaluated — the paper's
 // N parameter and the main recall/latency knob. Zero (the default)
 // means unbounded: the search degenerates to an exact (but slow) scan.
@@ -334,13 +353,6 @@ func WithTagMask(mask uint64) SearchOption { return func(c *searchConfig) { c.ta
 // first.
 func WithFilter(f func(id int, meta uint64) bool) SearchOption {
 	return func(c *searchConfig) { c.filter = f }
-}
-
-// withConfig replays an already-parsed searchConfig as a SearchOption.
-// The sharded batch fan-out parses options once, rewraps the filter per
-// shard (id translation), and hands each shard its copy through this.
-func withConfig(sc searchConfig) SearchOption {
-	return func(c *searchConfig) { *c = sc }
 }
 
 // WithProfile enables per-stage timing in the stats returned by

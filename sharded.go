@@ -175,14 +175,8 @@ func (s *ShardedIndex) searchFanout(q []float32, k int, opts []SearchOption) ([]
 	if len(q) != s.dim {
 		return nil, SearchStats{}, nil, fmt.Errorf("gqr: query dim %d != index dim %d", len(q), s.dim)
 	}
-	var sc searchConfig
-	for _, o := range opts {
-		o(&sc)
-	}
-	var tr *trace.Trace
-	if s.rec != nil {
-		tr = s.rec.Begin(s.methodName)
-	}
+	sc := configOf(opts)
+	tr := s.rec.Begin(s.methodName)
 	outs := make([]shardOutcome, len(s.shards))
 	var wg sync.WaitGroup
 	for i := range s.shards {
@@ -194,23 +188,13 @@ func (s *ShardedIndex) searchFanout(q []float32, k int, opts []SearchOption) ([]
 			if tr != nil {
 				child = s.rec.Child(s.methodName)
 			}
-			// Shards see local ids; a caller filter sees global ones, so
-			// the shard's leg gets a translating wrapper.
-			sci := sc
-			if sc.filter != nil {
-				base, f := s.base[i], sc.filter
-				sci.filter = func(id int, meta uint64) bool { return f(id+base, meta) }
-			}
 			start := time.Now()
-			nbrs, st, err := s.shards[i].searchTraced(q, k, sci, child)
+			nbrs, st, err := s.shards[i].searchSnapshot(q, k, sc.forShard(s.base[i]), child)
 			o.dur = time.Since(start)
 			o.tr = child
 			if err != nil {
 				o.err = fmt.Errorf("gqr: shard %d: %w", i, err)
 				return
-			}
-			for j := range nbrs {
-				nbrs[j].ID += s.base[i]
 			}
 			o.nbrs, o.st = nbrs, st
 		}(i)
@@ -218,7 +202,6 @@ func (s *ShardedIndex) searchFanout(q []float32, k int, opts []SearchOption) ([]
 	wg.Wait()
 	if tr != nil {
 		for i := range outs {
-			outs[i].tr.SetTotals(totalsOf(k, sc, outs[i].st))
 			tr.MergeChild(outs[i].tr, int32(i), outs[i].dur)
 			s.rec.Recycle(outs[i].tr)
 			outs[i].tr = nil
@@ -231,36 +214,55 @@ func (s *ShardedIndex) searchFanout(q []float32, k int, opts []SearchOption) ([]
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
-		if tr != nil {
-			s.rec.Recycle(tr)
-		}
+		endTrace(s.rec, tr, err)
 		return nil, SearchStats{}, outs, err
 	}
-	var merged []Neighbor
-	var total SearchStats
+	var m shardMerge
+	slowest := 0
 	for i := range outs {
-		merged = append(merged, outs[i].nbrs...)
-		total.merge(outs[i].st)
-		if outs[i].dur > total.SlowestShardTime {
-			total.SlowestShard = i
-			total.SlowestShardTime = outs[i].dur
+		m.add(outs[i].nbrs, s.base[i], outs[i].st)
+		if outs[i].dur > outs[slowest].dur {
+			slowest = i
 		}
 	}
-	total.ShardCount = len(s.shards)
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Distance != merged[b].Distance {
-			return merged[a].Distance < merged[b].Distance
-		}
-		return merged[a].ID < merged[b].ID
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	if tr != nil {
-		tr.SetTotals(totalsOf(k, sc, total))
-		s.rec.Finish(tr, time.Since(tr.Begin))
-	}
+	merged, total := m.result(k, len(s.shards))
+	total.SlowestShard, total.SlowestShardTime = slowest, outs[slowest].dur
+	tr.SetTotals(totalsOf(k, sc, total))
+	endTrace(s.rec, tr, nil)
 	return merged, total, outs, nil
+}
+
+// shardMerge accumulates one query's shard legs into its global answer;
+// the single-query fan-out and the batch fan-out both merge through it.
+type shardMerge struct {
+	nbrs []Neighbor
+	st   SearchStats
+}
+
+// add folds in one leg: its neighbors, re-based from shard-local to
+// global ids, and its work stats.
+func (m *shardMerge) add(nbrs []Neighbor, base int, st SearchStats) {
+	for _, n := range nbrs {
+		n.ID += base
+		m.nbrs = append(m.nbrs, n)
+	}
+	m.st.Merge(st)
+}
+
+// result returns the k best merged neighbors by ascending (distance,
+// global id) and the summed stats, stamped with the shard count.
+func (m *shardMerge) result(k, shards int) ([]Neighbor, SearchStats) {
+	sort.Slice(m.nbrs, func(a, b int) bool {
+		if m.nbrs[a].Distance != m.nbrs[b].Distance {
+			return m.nbrs[a].Distance < m.nbrs[b].Distance
+		}
+		return m.nbrs[a].ID < m.nbrs[b].ID
+	})
+	if len(m.nbrs) > k {
+		m.nbrs = m.nbrs[:k]
+	}
+	m.st.ShardCount = shards
+	return m.nbrs, m.st
 }
 
 // SearchBatch fans a whole query batch out to every shard and merges
@@ -269,18 +271,7 @@ func (s *ShardedIndex) searchFanout(q []float32, k int, opts []SearchOption) ([]
 // block concurrently with the other shards. The first per-query error,
 // if any, fails the call; shard-level failures fail it too.
 func (s *ShardedIndex) SearchBatch(queries []float32, k int, opts ...SearchOption) ([][]Neighbor, error) {
-	results, err := s.SearchBatchWithStats(queries, k, opts...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Neighbor, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		out[i] = r.Neighbors
-	}
-	return out, nil
+	return batchNeighbors(s.SearchBatchWithStats(queries, k, opts...))
 }
 
 // SearchBatchWithStats is SearchBatch with per-query outcomes, merged
@@ -291,16 +282,10 @@ func (s *ShardedIndex) SearchBatch(queries []float32, k int, opts ...SearchOptio
 // structural problems (bad block length, non-positive k) and joined
 // shard-level failures.
 func (s *ShardedIndex) SearchBatchWithStats(queries []float32, k int, opts ...SearchOption) ([]BatchQueryResult, error) {
-	if s.dim <= 0 || len(queries)%s.dim != 0 {
-		return nil, fmt.Errorf("gqr: query block length %d not a multiple of dim %d", len(queries), s.dim)
+	if err := checkBatch(len(queries), s.dim, k); err != nil {
+		return nil, err
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("gqr: K must be positive, got %d", k)
-	}
-	var sc searchConfig
-	for _, o := range opts {
-		o(&sc)
-	}
+	sc := configOf(opts)
 	nq := len(queries) / s.dim
 	perShard := make([][]BatchQueryResult, len(s.shards))
 	errs := make([]error, len(s.shards))
@@ -309,13 +294,7 @@ func (s *ShardedIndex) SearchBatchWithStats(queries []float32, k int, opts ...Se
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Shards see local ids; a caller filter sees global ones.
-			sci := sc
-			if sc.filter != nil {
-				base, f := s.base[i], sc.filter
-				sci.filter = func(id int, meta uint64) bool { return f(id+base, meta) }
-			}
-			res, err := s.shards[i].SearchBatchWithStats(queries, k, withConfig(sci))
+			res, err := s.shards[i].searchBatch(queries, k, sc.forShard(s.base[i]))
 			if err != nil {
 				errs[i] = fmt.Errorf("gqr: shard %d: %w", i, err)
 				return
@@ -329,8 +308,7 @@ func (s *ShardedIndex) SearchBatchWithStats(queries []float32, k int, opts ...Se
 	}
 	out := make([]BatchQueryResult, nq)
 	for qi := range out {
-		var merged []Neighbor
-		var total SearchStats
+		var m shardMerge
 		var qerrs []error
 		for i := range perShard {
 			r := perShard[i][qi]
@@ -338,27 +316,13 @@ func (s *ShardedIndex) SearchBatchWithStats(queries []float32, k int, opts ...Se
 				qerrs = append(qerrs, fmt.Errorf("gqr: shard %d: %w", i, r.Err))
 				continue
 			}
-			for _, n := range r.Neighbors {
-				n.ID += s.base[i]
-				merged = append(merged, n)
-			}
-			total.merge(r.Stats)
+			m.add(r.Neighbors, s.base[i], r.Stats)
 		}
 		if err := errors.Join(qerrs...); err != nil {
 			out[qi].Err = err
 			continue
 		}
-		total.ShardCount = len(s.shards)
-		sort.Slice(merged, func(a, b int) bool {
-			if merged[a].Distance != merged[b].Distance {
-				return merged[a].Distance < merged[b].Distance
-			}
-			return merged[a].ID < merged[b].ID
-		})
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		out[qi] = BatchQueryResult{Neighbors: merged, Stats: total}
+		out[qi].Neighbors, out[qi].Stats = m.result(k, len(s.shards))
 	}
 	return out, nil
 }

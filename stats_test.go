@@ -125,7 +125,7 @@ func TestShardedSearchWithStatsMergesShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.merge(sst)
+			want.Merge(sst)
 		}
 		if got := workOf(st); got != workOf(want) {
 			t.Fatalf("query %d: merged stats %+v != per-shard sum %+v", qi, got, want)

@@ -325,7 +325,7 @@ func TestShardedTraceAttribution(t *testing.T) {
 			if ps.Duration <= 0 {
 				t.Fatalf("query %d: shard %d duration %v", qi, i, ps.Duration)
 			}
-			sum.merge(ps.Stats)
+			sum.Merge(ps.Stats)
 			if ps.Duration > slowest {
 				slowest = ps.Duration
 			}
