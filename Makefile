@@ -1,18 +1,28 @@
 # Standard checks for the gqr repo. `make check` is the pre-commit
 # gate: vet + full tests + race over the whole module + the named -race
 # suites (trace stress, durability, lifecycle, batch) + a one-iteration
-# run of every benchmark + the benchmark/ module's own vet and tests.
+# run of every benchmark + the benchmark/ module's own vet and tests +
+# a cross-build of the architecture this host does not run.
 GO ?= go
 
-.PHONY: check build vet test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke bench-harness bench-json
+.PHONY: check build vet cross test race trace-stress durability lifecycle batch-stress fuzz-smoke bench bench-smoke bench-harness bench-json
 
-check: vet test race trace-stress durability lifecycle batch-stress bench-smoke bench-harness
+check: vet cross test race trace-stress durability lifecycle batch-stress bench-smoke bench-harness
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The distance kernel and the candidate prefetch are assembly on amd64
+# and plain Go elsewhere, and no test on an amd64 host compiles the
+# elsewhere: build the module for arm64 and vet the two packages there
+# (vet on amd64, above, is what checks the assembly against its Go
+# declarations).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vecmath ./internal/query
 
 test:
 	$(GO) test ./...
@@ -62,10 +72,13 @@ batch-stress:
 # loader (GQRPUB1/GQRIDX3 streams, seeded with tombstone bitmaps and
 # metadata slabs) and the WAL replayer (add, meta-add and delete
 # frames). Ten seconds each — enough to catch a panic or an unbounded
-# allocation from a hostile length field without stalling CI.
+# allocation from a hostile length field without stalling CI. The third
+# holds the assembly distance kernel to its Go definition bit for bit
+# over fuzzer-chosen components, offsets and bounds.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -38,6 +38,7 @@ import (
 	"gqr"
 	"gqr/internal/dataset"
 	"gqr/internal/server"
+	"gqr/internal/vecmath"
 )
 
 func main() {
@@ -135,6 +136,7 @@ func main() {
 		"items", st.Items, "live", st.LiveItems, "tombstones", st.Tombstones,
 		"algorithm", st.Algorithm, "method", st.Method,
 		"bits", st.CodeLength, "tables", st.Tables,
+		"kernel", vecmath.Kernel(), // "go" on amd64: no AVX2, scalar distances
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	if ix.TraceRecorder() != nil {
 		logger.Info("query tracing enabled",

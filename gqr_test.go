@@ -2,6 +2,7 @@ package gqr
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -239,6 +240,41 @@ func TestKMHOddCodeLengthRoundsUp(t *testing.T) {
 	}
 	if ix.Stats().CodeLength%2 != 0 {
 		t.Fatalf("KMH code length %d not even", ix.Stats().CodeLength)
+	}
+}
+
+// TestSearchHugeKIsBounded: k comes straight from a request body and
+// used to size the result heaps (and factor·k the re-ranking heap), so
+// k = 2·10⁸ allocated gigabytes and k = 2⁵⁰ panicked in makeslice. A
+// search can return at most every item; asking for more must cost
+// no more than asking for all of them.
+func TestSearchHugeKIsBounded(t *testing.T) {
+	ds := demoData(t)
+	for name, opts := range map[string][]Option{
+		"plain":    {WithSeed(5)},
+		"reranked": {WithSeed(5), WithReranking(4, 16, math.MaxInt/3)},
+	} {
+		ix, err := Build(ds.Vectors, ds.Dim, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, so := range [][]SearchOption{nil, {WithEarlyStop()}} {
+			for _, k := range []int{200_000_000, 1 << 50, math.MaxInt} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				nbrs, err := ix.Search(ds.Query(0), k, so...)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("%s k=%d: %v", name, k, err)
+				}
+				if len(nbrs) != ds.N() {
+					t.Fatalf("%s k=%d: %d neighbours, the index holds %d", name, k, len(nbrs), ds.N())
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+					t.Fatalf("%s k=%d: allocated %d bytes for %d neighbours", name, k, got, len(nbrs))
+				}
+			}
+		}
 	}
 }
 

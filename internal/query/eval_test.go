@@ -27,8 +27,13 @@ import (
 // quantized scores with a full sort. It shares no code with the
 // Searcher beyond the probe sequences and the top-k heap, and is the
 // oracle Search must match id-for-id, bit-for-bit and counter-for-
-// counter. (EarlyAbandoned is the one counter it cannot produce: it
-// describes the bounded kernel, which the reference does not use.)
+// counter. That includes EarlyAbandoned: the reference keeps results on
+// the unbounded kernel but asks refAbandons, its own statement of the
+// abandon rule, whether each candidate would have been cut short against
+// the k-th best at that moment — so the count moves if candidates reach
+// the kernel in another order, with a stale bound, or under another tie
+// rule. (Not under re-ranking: the order survivors are evaluated in is
+// unspecified, and the count depends on it.)
 func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt Options) Result {
 	t.Helper()
 	type state struct {
@@ -146,6 +151,9 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 					scored = append(scored, scoredID{refADC(tab, quant.K(), ix.CodesSlab()[int(id)*mq:(int(id)+1)*mq]), id})
 					st.ADCScored++
 				} else {
+					if top.Full() && refAbandons(q, ix.Vector(id), top.Worst()) {
+						st.EarlyAbandoned++
+					}
 					top.Offer(vecmath.SquaredL2(q, ix.Vector(id)), id)
 				}
 			}
@@ -183,6 +191,29 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		ids, dists = ids[:cut], dists[:cut]
 	}
 	return Result{IDs: ids, Dists: dists, Stats: st}
+}
+
+// refAbandons is the bounded kernel's rule written out dimension by
+// dimension: squared differences go to lane i mod 4 (the last len mod 4
+// of them to lane 0), and after every 16th dimension, and at the end,
+// the lanes' sum ((s0+s1)+s2)+s3 is compared with bound. It reports
+// whether any comparison found the sum strictly above — which is when
+// the Searcher counts a candidate as abandoned, an equal sum running on.
+func refAbandons(a, b []float32, bound float64) bool {
+	var s [4]float64
+	whole := len(a) - len(a)%4
+	for i := range a {
+		d := float64(a[i]) - float64(b[i])
+		if i < whole {
+			s[i%4] += float64(d * d)
+		} else {
+			s[0] += float64(d * d)
+		}
+		if (i+1)%16 == 0 && ((s[0]+s[1])+s[2])+s[3] > bound {
+			return true
+		}
+	}
+	return ((s[0]+s[1])+s[2])+s[3] > bound
 }
 
 // refADC is the quantized score of one byte code against the flat ADC
@@ -383,7 +414,9 @@ func TestSearchMatchesReferenceAllMethods(t *testing.T) {
 					want := referenceSearch(t, ix, m, q, opt)
 					label := fmt.Sprintf("seed=%d %s opt[%d] query %d", c.seed, name, oi, qi)
 					assertSameResult(t, label, got, want)
-					got.Stats.EarlyAbandoned = 0 // the reference kernel never abandons
+					if c.pqM > 0 {
+						got.Stats.EarlyAbandoned = 0 // survivor order is unspecified
+					}
 					if got.Stats != want.Stats {
 						t.Fatalf("%s: stats %+v, reference %+v", label, got.Stats, want.Stats)
 					}

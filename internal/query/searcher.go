@@ -277,6 +277,10 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 	if err := s.validate(q, prep, &opt); err != nil {
 		return Result{}, err
 	}
+	// K arrives from request bodies and sizes the heaps; no search can
+	// return more items than the view holds, so capping it there changes
+	// no result.
+	opt.K = min(opt.K, max(s.ix.N, 1))
 	s.nextEpoch()
 	var st Stats
 	clk := &s.clock
@@ -433,11 +437,15 @@ func (s *Searcher) startSequences(prep *Prepared) {
 }
 
 // startRerank arms quantized scoring for one query: keep = factor·k
-// survivors, collected by the rtop heap when the early-stop rule needs
-// a running keep-th best (which then replaces the exact heap as the
-// rule's reference), flat otherwise.
+// survivors (at most every item: K is already capped there, and the
+// product must not overflow), collected by the rtop heap when the
+// early-stop rule needs a running keep-th best (which then replaces the
+// exact heap as the rule's reference), flat otherwise.
 func (s *Searcher) startRerank(opt *Options) {
-	s.keep = s.factor * opt.K
+	s.keep = s.ix.N
+	if s.factor <= s.ix.N/opt.K {
+		s.keep = s.factor * opt.K
+	}
 	s.flatADC = !(opt.EarlyStop && opt.Mu > 0 && s.qd)
 	s.adcDists, s.adcIDs = s.adcDists[:0], s.adcIDs[:0]
 	if !s.flatADC {
@@ -696,12 +704,26 @@ func (s *Searcher) finalize(radius float64) ([]int32, []float64) {
 	return ids, dists
 }
 
+// The candidate feed: while one row is evaluated, the first prefetchSpan
+// floats of the row prefetchAhead candidates later are requested, so the
+// misses of a bucket's rows overlap instead of queueing one behind
+// another. Both are set by measurement on the 100k × 128 benchmark
+// corpus (EXPERIMENTS.md): 4 and 8 candidates ahead read the same, 16
+// and 32 slower; 64 floats (four cache lines) cover the 92 % of
+// candidates that abandon within four blocks, and requesting whole
+// 128-float rows was slower than requesting half of each.
+const (
+	prefetchAhead = 8
+	prefetchSpan  = 64
+)
+
 // evaluateBatch runs the evaluation stage over one gathered candidate
-// batch: exact squared distances against the top-k heap, four candidate
-// rows per step over the contiguous data slab. The live k-th-best
-// distance is threaded into the bounded kernel as the abandon bound, so
-// once the heap is full most candidates stop after one or two 16-dim
-// blocks instead of finishing their distance.
+// batch: exact squared distances against the top-k heap, rows fed to the
+// kernel through the prefetch window above. The live k-th-best distance
+// is threaded into the bounded kernel as the abandon bound; once the
+// heap is full 99 % of candidates abandon, three in four of them after
+// their second or third 16-dimension block (at d = 128, 5 000
+// candidates; EXPERIMENTS.md has the distribution).
 //
 // Early abandonment cannot change the result: the kernel only reports
 // a value above the bound when the true distance provably exceeds the
@@ -716,44 +738,18 @@ func (s *Searcher) evaluateBatch(q []float32, ids []int32, st *Stats) {
 	if top.Full() {
 		bound = top.Worst()
 	}
-	i := 0
-	for ; i+4 <= len(ids); i += 4 {
-		// Resolve the four rows up front: the id indirections issue
-		// early and the distance loops then stream from four known
-		// offsets of one slab.
-		r0 := int(ids[i]) * dim
-		r1 := int(ids[i+1]) * dim
-		r2 := int(ids[i+2]) * dim
-		r3 := int(ids[i+3]) * dim
-		v0 := data[r0 : r0+dim : r0+dim]
-		v1 := data[r1 : r1+dim : r1+dim]
-		v2 := data[r2 : r2+dim : r2+dim]
-		v3 := data[r3 : r3+dim : r3+dim]
-		if d := vecmath.SquaredL2Bounded(q, v0, bound); d > bound {
-			st.EarlyAbandoned++
-		} else if top.Offer(d, ids[i]) && top.Full() {
-			bound = top.Worst()
+	span := min(dim, prefetchSpan)
+	// The loop starts prefetchAhead before the first candidate, so the
+	// first rows of the batch are requested too.
+	for i := -prefetchAhead; i < len(ids); i++ {
+		if j := i + prefetchAhead; j < len(ids) {
+			prefetch(&data[int(ids[j])*dim], span)
 		}
-		if d := vecmath.SquaredL2Bounded(q, v1, bound); d > bound {
-			st.EarlyAbandoned++
-		} else if top.Offer(d, ids[i+1]) && top.Full() {
-			bound = top.Worst()
+		if i < 0 {
+			continue
 		}
-		if d := vecmath.SquaredL2Bounded(q, v2, bound); d > bound {
-			st.EarlyAbandoned++
-		} else if top.Offer(d, ids[i+2]) && top.Full() {
-			bound = top.Worst()
-		}
-		if d := vecmath.SquaredL2Bounded(q, v3, bound); d > bound {
-			st.EarlyAbandoned++
-		} else if top.Offer(d, ids[i+3]) && top.Full() {
-			bound = top.Worst()
-		}
-	}
-	for ; i < len(ids); i++ {
 		r := int(ids[i]) * dim
-		v := data[r : r+dim : r+dim]
-		if d := vecmath.SquaredL2Bounded(q, v, bound); d > bound {
+		if d := vecmath.SquaredL2Bounded(q, data[r:r+dim:r+dim], bound); d > bound {
 			st.EarlyAbandoned++
 		} else if top.Offer(d, ids[i]) && top.Full() {
 			bound = top.Worst()

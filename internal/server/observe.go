@@ -10,6 +10,7 @@ import (
 
 	"gqr"
 	"gqr/internal/metrics"
+	"gqr/internal/vecmath"
 )
 
 // Metric families exported by the handler. The search counters use the
@@ -269,6 +270,10 @@ type Statsz struct {
 	Search        SearchTotals          `json:"search"`
 	HTTP          map[string]*PathStats `json:"http"`
 	Metrics       []metrics.MetricValue `json:"metrics"`
+	// Kernel names the distance kernel this process evaluates candidates
+	// with (vecmath.Kernel): "go" on an amd64 host means the CPU or OS
+	// lacks AVX2 and searches run the scalar fallback.
+	Kernel string `json:"kernel"`
 }
 
 func (h *Handler) statszHandler(w http.ResponseWriter, r *http.Request) {
@@ -295,6 +300,7 @@ func (h *Handler) statszHandler(w http.ResponseWriter, r *http.Request) {
 		},
 		HTTP:    make(map[string]*PathStats),
 		Metrics: snap,
+		Kernel:  vecmath.Kernel(),
 	}
 	for _, mv := range snap {
 		switch mv.Name {

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
 	"gqr"
 	"gqr/internal/dataset"
+	"gqr/internal/vecmath"
 )
 
 func testServer(t *testing.T) (*httptest.Server, *dataset.Dataset) {
@@ -63,6 +65,30 @@ func TestSearchEndpointExact(t *testing.T) {
 			if out.Neighbors[i].ID != int(id) {
 				t.Fatalf("query %d: %v != ground truth %v", qi, out.Neighbors, ds.GroundTruth[qi])
 			}
+		}
+	}
+}
+
+// TestSearchEndpointHugeK: a request body chooses k, so a k far beyond
+// the index must be answered with every item at the cost of every item —
+// it used to allocate 24 bytes per requested neighbour, or panic in the
+// handler when that overflowed.
+func TestSearchEndpointHugeK(t *testing.T) {
+	srv, ds := testServer(t)
+	for _, k := range []int{200_000_000, 1 << 50} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var out SearchResponse
+		resp := post(t, srv.URL+"/search", SearchRequest{Query: ds.Query(0), K: k}, &out)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: status %d", k, resp.StatusCode)
+		}
+		if len(out.Neighbors) != ds.N() {
+			t.Fatalf("k=%d: %d neighbors, the index holds %d", k, len(out.Neighbors), ds.N())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("k=%d: the round trip allocated %d bytes", k, got)
 		}
 	}
 }
@@ -443,10 +469,14 @@ func TestStatszReportsLifecycle(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var statsz struct {
-		Index gqr.Stats `json:"index"`
+		Kernel string    `json:"kernel"`
+		Index  gqr.Stats `json:"index"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&statsz); err != nil {
 		t.Fatal(err)
+	}
+	if statsz.Kernel == "" || statsz.Kernel != vecmath.Kernel() {
+		t.Fatalf("statsz kernel = %q, the process runs %q", statsz.Kernel, vecmath.Kernel())
 	}
 	if statsz.Index.Tombstones != 1 || statsz.Index.Deletes != 1 {
 		t.Fatalf("statsz tombstones=%d deletes=%d after one delete", statsz.Index.Tombstones, statsz.Index.Deletes)

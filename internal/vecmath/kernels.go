@@ -2,31 +2,13 @@ package vecmath
 
 import "math"
 
-// SquaredL2 returns the squared Euclidean distance between a and b.
-// It is the evaluation-stage kernel; loops are unrolled four-wide, which
-// the compiler turns into reasonable scalar code without breaking
-// determinism.
+// SquaredL2 returns the squared Euclidean distance between a and b: the
+// bounded kernel with a bound no partial sum exceeds.
 func SquaredL2(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: SquaredL2 length mismatch")
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := float64(a[i]) - float64(b[i])
-		d1 := float64(a[i+1]) - float64(b[i+1])
-		d2 := float64(a[i+2]) - float64(b[i+2])
-		d3 := float64(a[i+3]) - float64(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < len(a); i++ {
-		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	return squaredL2Bounded(a, b, math.Inf(1))
 }
 
 // L2 returns the Euclidean distance between a and b.
@@ -55,10 +37,28 @@ const boundedBlock = 16
 //
 // With bound = +Inf no check ever fires and the result equals
 // SquaredL2(a, b) exactly.
+//
+// The returned bits are defined by squaredL2BoundedGo. squaredL2Bounded
+// is that function, or on amd64 an assembly kernel that performs the
+// same float64 operations in the same order (Kernel names which).
 func SquaredL2Bounded(a, b []float32, bound float64) float64 {
 	if len(a) != len(b) {
 		panic("vecmath: SquaredL2Bounded length mismatch")
 	}
+	return squaredL2Bounded(a, b, bound)
+}
+
+// squaredL2BoundedGo is the kernel's definition, the fallback off amd64
+// and the oracle the assembly is tested against. The summation order is
+// the contract: dimension i is widened to float64, differenced, squared
+// and added — four separately rounded operations — into lane s[i mod 4]
+// while at least four dimensions remain, the last len mod 4 dimensions
+// into s0; after every complete block of 16 dimensions ((s0+s1)+s2)+s3
+// is compared to bound with a strict >, which a NaN bound never
+// satisfies; the result is that same reduction. The float64(…) around
+// each product is what forbids fusing it into the addition (the
+// compiler would on arm64), so the bits are the same on every GOARCH.
+func squaredL2BoundedGo(a, b []float32, bound float64) float64 {
 	b = b[:len(a)] // bounds-check hint
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -68,10 +68,10 @@ func SquaredL2Bounded(a, b []float32, bound float64) float64 {
 			d1 := float64(a[j+1]) - float64(b[j+1])
 			d2 := float64(a[j+2]) - float64(b[j+2])
 			d3 := float64(a[j+3]) - float64(b[j+3])
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
 		}
 		if s0+s1+s2+s3 > bound {
 			return s0 + s1 + s2 + s3
@@ -82,14 +82,14 @@ func SquaredL2Bounded(a, b []float32, bound float64) float64 {
 		d1 := float64(a[i+1]) - float64(b[i+1])
 		d2 := float64(a[i+2]) - float64(b[i+2])
 		d3 := float64(a[i+3]) - float64(b[i+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,27 +195,137 @@ func TestSquaredL2BoundedAdversarialNearBound(t *testing.T) {
 	}
 }
 
+// offsetCopy returns a copy of v that starts off floats into a fresh
+// allocation, so the kernel's loads are 4·off bytes past any alignment
+// the allocator gives.
+func offsetCopy(v []float32, off int) []float32 {
+	buf := make([]float32, off+len(v))
+	copy(buf[off:], v)
+	return buf[off:]
+}
+
+// kernelBounds are the bounds worth trying against one pair: fixed
+// ones, and for each partial sum a block check can see (every complete
+// block of 16 — the last is the exact distance when 16 divides the
+// length — plus the exact distance) the value itself and its two
+// float64 neighbours, where the strict > decides.
+func kernelBounds(a, b []float32) []float64 {
+	bounds := []float64{-1, 0, math.Inf(1), math.NaN()}
+	ends := []int{len(a)}
+	for e := boundedBlock; e < len(a) && e <= 4*boundedBlock; e += boundedBlock {
+		ends = append(ends, e)
+	}
+	for _, e := range ends {
+		d := squaredL2BoundedGo(a[:e], b[:e], math.Inf(1))
+		bounds = append(bounds, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)))
+	}
+	return bounds
+}
+
+// assertKernelMatchesGo holds the serving kernel to its definition:
+// whatever squaredL2Bounded dispatches to must return the bits of
+// squaredL2BoundedGo, whether the run completes or abandons, and
+// SquaredL2 those of the reference at +Inf. Two NaNs count as equal:
+// which operand's payload an x86 addition of two NaNs keeps depends on
+// register allocation, in the compiled reference as much as in assembly.
+func assertKernelMatchesGo(t *testing.T, a, b []float32, bound float64) {
+	t.Helper()
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	if got, want := SquaredL2Bounded(a, b, bound), squaredL2BoundedGo(a, b, bound); !same(got, want) {
+		t.Fatalf("%s kernel, len %d, bound %v (%#x): %v (%#x), Go reference %v (%#x)",
+			Kernel(), len(a), bound, math.Float64bits(bound), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if got, want := SquaredL2(a, b), squaredL2BoundedGo(a, b, math.Inf(1)); !same(got, want) {
+		t.Fatalf("%s kernel, len %d: SquaredL2 %v (%#x), Go reference %v (%#x)",
+			Kernel(), len(a), got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestSquaredL2BoundedMatchesGoBitForBit is the differential test of the
+// assembly kernel (a tautology where Kernel() is "go"): every length
+// 0–67 plus the benchmark's 128 and 960 — empty slices, tails of 1–15,
+// non-multiples of 4 — at every pair of sub-slice offsets 0–3, over
+// ordinary, huge, denormal and NaN/±Inf-laced components, against
+// bounds that sit on, just under and just over every partial sum a
+// block check compares.
+func TestSquaredL2BoundedMatchesGoBitForBit(t *testing.T) {
+	lengths := []int{128, 960}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	specials := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -1e-40, math.MaxFloat32, -math.MaxFloat32, 0,
+	}
+	fills := map[string]func(rng *rand.Rand) float32{
+		"gaussian": func(rng *rand.Rand) float32 { return float32(rng.NormFloat64()) },
+		"denormal": func(rng *rand.Rand) float32 { return float32(rng.NormFloat64()) * 1e-41 },
+		"huge":     func(rng *rand.Rand) float32 { return float32(rng.NormFloat64()) * 1e38 },
+		"laced": func(rng *rand.Rand) float32 {
+			if rng.Intn(6) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return float32(rng.NormFloat64())
+		},
+	}
+	for name, fill := range fills {
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for _, n := range lengths {
+			a, b := make([]float32, n), make([]float32, n)
+			for i := range a {
+				a[i], b[i] = fill(rng), fill(rng)
+			}
+			bounds := kernelBounds(a, b)
+			for offA := 0; offA < 4; offA++ {
+				for offB := 0; offB < 4; offB++ {
+					ao, bo := offsetCopy(a, offA), offsetCopy(b, offB)
+					for _, bound := range bounds {
+						assertKernelMatchesGo(t, ao, bo, bound)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzSquaredL2Bounded lets the fuzzer choose the components bit by
+// bit (raw is split into two float32 vectors, so NaN payloads,
+// infinities and denormals all occur), the sub-slice offsets and the
+// bound, and checks the serving kernel against its Go definition bit
+// for bit, then the early-abandon contract itself.
 func FuzzSquaredL2Bounded(f *testing.F) {
-	f.Add(uint8(8), int64(1), float64(0.5))
-	f.Add(uint8(33), int64(9), float64(0))
-	f.Add(uint8(64), int64(3), math.Inf(1))
-	f.Fuzz(func(t *testing.T, n uint8, seed int64, bound float64) {
-		if n == 0 {
-			n = 1
+	seed := func(n int, s int64, off uint8, bound float64) {
+		rng := rand.New(rand.NewSource(s))
+		raw := make([]byte, 8*n)
+		for i := 0; i < 2*n; i++ {
+			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(float32(rng.NormFloat64())))
 		}
-		rng := rand.New(rand.NewSource(seed))
-		a := make([]float32, n)
-		b := make([]float32, n)
+		f.Add(raw, off, bound)
+	}
+	seed(8, 1, 0, 0.5)
+	seed(33, 9, 7, 0)
+	seed(64, 3, 2, math.Inf(1))
+	seed(128, 5, 13, 200)
+	seed(67, 6, 9, math.NaN())
+	f.Add([]byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x7f, 1, 0, 0, 0, 0, 0, 0x80, 0xff}, uint8(5), float64(-1)) // NaN, +Inf | denormal, -Inf
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8, bound float64) {
+		n := min(len(raw)/8, 960)
+		a, b := make([]float32, n), make([]float32, n)
 		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-			b[i] = float32(rng.NormFloat64())
+			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			b[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(n+i):]))
 		}
-		if math.IsNaN(bound) {
-			bound = 0
+		a, b = offsetCopy(a, int(off&3)), offsetCopy(b, int(off>>2&3))
+		assertKernelMatchesGo(t, a, b, bound)
+		for _, kb := range kernelBounds(a, b) {
+			assertKernelMatchesGo(t, a, b, kb)
 		}
+
 		exact := SquaredL2(a, b)
-		if got := SquaredL2Bounded(a, b, math.Inf(1)); got != exact {
-			t.Fatalf("inf bound: %g != %g", got, exact)
+		if math.IsNaN(exact) || math.IsNaN(bound) {
+			return // the contract below is stated over ordered values
 		}
 		r := SquaredL2Bounded(a, b, bound)
 		if r <= bound && r != exact {
@@ -257,7 +368,10 @@ func TestArgNearestExhaustive(t *testing.T) {
 func TestKernelLengthPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"SquaredL2": func() { SquaredL2([]float32{1}, []float32{1, 2}) },
-		"Dot":       func() { Dot([]float32{1}, []float32{1, 2}) },
+		"SquaredL2Bounded": func() {
+			SquaredL2Bounded([]float32{1, 2}, []float32{1}, 0)
+		},
+		"Dot": func() { Dot([]float32{1}, []float32{1, 2}) },
 		"ArgNearest": func() {
 			ArgNearest([]float32{1}, []float32{1, 2}, 1, 2)
 		},

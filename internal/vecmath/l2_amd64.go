@@ -1,0 +1,32 @@
+package vecmath
+
+// squaredL2BoundedAVX2 is squaredL2BoundedGo in assembly (l2_amd64.s):
+// one 256-bit register is the four float64 lanes, VCVTPS2PD widens, and
+// VSUBPD, VMULPD and VADDPD round separately, so every result has the
+// reference's bits. Wider or fused forms are excluded for that reason:
+// eight lanes or AVX-512 reassociate the sum, FMA skips a rounding.
+// len(a) must equal len(b).
+//
+//go:noescape
+func squaredL2BoundedAVX2(a, b []float32, bound float64) float64
+
+func hasAVX2() bool
+
+// useAVX2 is read once, at package initialization.
+var useAVX2 = hasAVX2()
+
+func squaredL2Bounded(a, b []float32, bound float64) float64 {
+	if useAVX2 {
+		return squaredL2BoundedAVX2(a, b, bound)
+	}
+	return squaredL2BoundedGo(a, b, bound)
+}
+
+// Kernel names the implementation behind SquaredL2 and SquaredL2Bounded
+// in this process: "avx2", or "go" on a CPU or OS without AVX2.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}

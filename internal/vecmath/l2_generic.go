@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package vecmath
+
+func squaredL2Bounded(a, b []float32, bound float64) float64 {
+	return squaredL2BoundedGo(a, b, bound)
+}
+
+// Kernel names the implementation behind SquaredL2 and SquaredL2Bounded
+// in this process: off amd64, always the portable "go".
+func Kernel() string { return "go" }
