@@ -74,11 +74,14 @@ batch-stress:
 # frames). Ten seconds each — enough to catch a panic or an unbounded
 # allocation from a hostile length field without stalling CI. The third
 # holds the assembly distance kernel to its Go definition bit for bit
-# over fuzzer-chosen components, offsets and bounds.
+# over fuzzer-chosen components, offsets and bounds; the fourth holds
+# GQR's queue generator to its slice model and the paper's heap form over
+# fuzzer-chosen code lengths and costs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzGQRSequence -fuzztime=10s -run '^$$' ./internal/query
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -469,7 +469,7 @@ func runFig21(opt RunOptions, w io.Writer) error {
 
 func runAblHeap(opt RunOptions, w io.Writer) error {
 	opt = opt.normalize()
-	Rule(w, "Ablation: GQR heap vs naive frontier scan (bucket generation only)")
+	Rule(w, "Ablation: GQR heap vs naive frontier scan (bucket generation only; gqr is the serving queue form)")
 	ds := corpus(dataset.CorpusTINY, opt)
 	ix, err := buildIndex(ds, opt, dataset.CorpusTINY, "itq", 0, 1)
 	if err != nil {
@@ -480,7 +480,7 @@ func runAblHeap(opt RunOptions, w io.Writer) error {
 		gen = 8192
 	}
 	fmt.Fprintf(w, "generating the first %d buckets for %d queries:\n\n", gen, ds.NQ())
-	timeGeneration(w, ds, ix, gen, query.NewGQR(ix), query.NewGQRNaive(ix))
+	timeGeneration(w, ds, ix, gen, query.NewGQRHeap(ix), query.NewGQRNaive(ix), query.NewGQR(ix))
 	return nil
 }
 
@@ -516,7 +516,7 @@ func runAblTree(opt RunOptions, w io.Writer) error {
 	}
 	gen := 1 << uint(ix.Bits())
 	fmt.Fprintf(w, "full enumeration (%d buckets) for %d queries:\n\n", gen, ds.NQ())
-	timeGeneration(w, ds, ix, gen, query.NewGQR(ix), query.NewGQRSharedTree(ix))
+	timeGeneration(w, ds, ix, gen, query.NewGQRHeap(ix), query.NewGQRSharedTree(ix))
 	return nil
 }
 

@@ -27,7 +27,8 @@ import (
 // quantized scores with a full sort. It shares no code with the
 // Searcher beyond the probe sequences and the top-k heap, and is the
 // oracle Search must match id-for-id, bit-for-bit and counter-for-
-// counter. That includes EarlyAbandoned: the reference keeps results on
+// counter — the unbounded search's sweep of the id space included, which
+// it states as one loop over every id. That includes EarlyAbandoned: the reference keeps results on
 // the unbounded kernel but asks refAbandons, its own statement of the
 // abandon rule, whether each candidate would have been cut short against
 // the k-th best at that moment — so the count moves if candidates reach
@@ -97,7 +98,31 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		return opt.Filter != nil && !opt.Filter(id, meta)
 	}
 
+	visit := func(id int32) {
+		if visited[id] {
+			return
+		}
+		visited[id] = true
+		if dropped(id) {
+			st.Filtered++
+			return
+		}
+		st.Candidates++
+		if rerank {
+			mq := quant.M()
+			scored = append(scored, scoredID{refADC(tab, quant.K(), ix.CodesSlab()[int(id)*mq:(int(id)+1)*mq]), id})
+			st.ADCScored++
+		} else {
+			if top.Full() && refAbandons(q, ix.Vector(id), top.Worst()) {
+				st.EarlyAbandoned++
+			}
+			top.Offer(vecmath.SquaredL2(q, ix.Vector(id)), id)
+		}
+	}
+
 	useEarlyStop := opt.EarlyStop && opt.Mu > 0 && m.QDScores()
+	useRadiusStop := opt.Radius > 0 && opt.Mu > 0 && m.QDScores()
+	unbounded := opt.MaxCandidates <= 0 && opt.MaxBuckets <= 0 && !useEarlyStop && !useRadiusStop
 	for {
 		best := -1
 		for ti := range states {
@@ -111,7 +136,7 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 		if best < 0 {
 			break
 		}
-		if useEarlyStop || (opt.Radius > 0 && opt.Mu > 0 && m.QDScores()) {
+		if useEarlyStop || useRadiusStop {
 			bound := opt.Mu * states[best].score
 			// The running k-th best: exact distances normally, the
 			// factor·k-th quantized score under re-ranking.
@@ -133,29 +158,20 @@ func referenceSearch(t *testing.T, ix *index.Index, m Method, q []float32, opt O
 				break
 			}
 		}
+		if unbounded && st.BucketsGenerated > ix.N {
+			// The sweep: more buckets generated than the view has items
+			// and nothing that could end the search short of every live
+			// item, so the unvisited ids are taken in id order instead.
+			for id := int32(0); int(id) < ix.N; id++ {
+				visit(id)
+			}
+			break
+		}
 		st.BucketsGenerated++
 		if ids := ix.Bucket(best, states[best].code); len(ids) > 0 {
 			st.BucketsProbed++
 			for _, id := range ids {
-				if visited[id] {
-					continue
-				}
-				visited[id] = true
-				if dropped(id) {
-					st.Filtered++
-					continue
-				}
-				st.Candidates++
-				if rerank {
-					mq := quant.M()
-					scored = append(scored, scoredID{refADC(tab, quant.K(), ix.CodesSlab()[int(id)*mq:(int(id)+1)*mq]), id})
-					st.ADCScored++
-				} else {
-					if top.Full() && refAbandons(q, ix.Vector(id), top.Worst()) {
-						st.EarlyAbandoned++
-					}
-					top.Offer(vecmath.SquaredL2(q, ix.Vector(id)), id)
-				}
+				visit(id)
 			}
 		}
 		if opt.MaxCandidates > 0 && st.Candidates >= opt.MaxCandidates {

@@ -1,62 +1,5 @@
 package query
 
-// flipNode is one entry of GQR's frontier min-heap: a sorted flipping
-// vector (packed mask over sorted-projection positions) and its
-// quantization distance.
-type flipNode struct {
-	mask uint64
-	dist float64
-}
-
-// flipHeap is a binary min-heap of flipNodes keyed by dist. A typed heap
-// (rather than container/heap) keeps the per-bucket generation cost to a
-// few nanoseconds, which matters because GQR's whole point is that
-// retrieval overhead must stay below evaluation cost.
-type flipHeap struct {
-	nodes []flipNode
-}
-
-func (h *flipHeap) Len() int { return len(h.nodes) }
-
-func (h *flipHeap) Push(n flipNode) {
-	h.nodes = append(h.nodes, n)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.nodes[p].dist <= h.nodes[i].dist {
-			break
-		}
-		h.nodes[p], h.nodes[i] = h.nodes[i], h.nodes[p]
-		i = p
-	}
-}
-
-func (h *flipHeap) Pop() flipNode {
-	top := h.nodes[0]
-	last := len(h.nodes) - 1
-	h.nodes[0] = h.nodes[last]
-	h.nodes = h.nodes[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.nodes[l].dist < h.nodes[smallest].dist {
-			smallest = l
-		}
-		if r < last && h.nodes[r].dist < h.nodes[smallest].dist {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		h.nodes[i], h.nodes[smallest] = h.nodes[smallest], h.nodes[i]
-		i = smallest
-	}
-}
-
-// Reset empties the heap, retaining capacity for reuse across queries.
-func (h *flipHeap) Reset() { h.nodes = h.nodes[:0] }
-
 // topK is a bounded max-heap holding the k best (smallest-distance)
 // candidates seen so far: the evaluation stage's data structure. Ties on
 // distance are broken toward smaller ids so results are deterministic.

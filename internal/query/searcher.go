@@ -150,13 +150,30 @@ type Searcher struct {
 	rtop     topK
 	ptop     *topK
 
-	// tombs is the bound view's tombstone bitmap, cached at
+	// pending is the bound view's tombstone bitmap, cached at
 	// construction and only when the view still has dead ids in its
 	// posting lists (pending > 0) — once every tombstone is purged by a
-	// seal or merge, searches skip even the per-bucket branch. meta is
-	// the view's metadata slab (nil when no item carries a word).
-	tombs []uint64
-	meta  []uint64
+	// seal or merge, searches skip even the per-bucket branch. tombs is
+	// the bitmap the gather stage tests this query: pending while buckets
+	// are probed, the view's whole bitmap once a sweep walks the id space,
+	// purged ids included. meta is the view's metadata slab (nil when no
+	// item carries a word).
+	pending []uint64
+	tombs   []uint64
+	meta    []uint64
+
+	// What can end this query's probe, decided once per query: qdStop —
+	// the early-stop or the radius rule is armed; unbounded — neither
+	// they nor a budget are, so the search ends only when every live item
+	// has been evaluated. An unbounded search whose sequences have
+	// generated more buckets than the view has items stops generating
+	// and sweeps the ids it has not visited, in chunks of sweepChunk
+	// through s.ref like any bucket; sweepFrom is the next id to look at,
+	// negative until the sweep starts.
+	qdStop    bool
+	unbounded bool
+	sweepFrom int
+	sweepIDs  []int32
 
 	// The merged probe-sequence states (whose sequences the method
 	// recycles through Start), the bounded top-k heap, the gather buffer,
@@ -225,7 +242,7 @@ func NewSearcher(ix *index.Index, method Method) *Searcher {
 		own:     Prepared{Codes: make([]uint64, nt), Costs: make([][]float64, nt)},
 	}
 	if ix.PendingTombstones() > 0 {
-		s.tombs = ix.TombWords()
+		s.pending = ix.TombWords()
 	}
 	s.meta = ix.MetaSlab()
 	if q := ix.Quantizer(); q != nil && ix.RerankFactor > 0 {
@@ -292,9 +309,14 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 		clk.tick(trace.StageSequence, -1, trace.Work{})
 	}
 	// Variants are chosen once per query, so every loop stays monomorphic:
-	// scoring is ADC (survivors evaluated at drain) or exact, gather filters or not.
+	// scoring is ADC (survivors evaluated at drain) or exact; gather
+	// filters when the query masks or the view has tombstones in reach.
 	rerank := s.quant != nil
-	filtered := s.tombs != nil || opt.TagMask != 0 || opt.Filter != nil
+	masked := opt.TagMask != 0 || opt.Filter != nil
+	s.tombs = s.pending
+	s.qdStop = s.qd && opt.Mu > 0 && (opt.EarlyStop || opt.Radius > 0)
+	s.unbounded = opt.MaxCandidates <= 0 && opt.MaxBuckets <= 0 && !s.qdStop
+	s.sweepFrom = -1
 	s.top.Reset(opt.K)
 	s.ptop = &s.top
 	if rerank {
@@ -305,17 +327,18 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 		}
 	}
 	// Work deltas since the last probe/evaluate span (traced path only).
-	lastGen, lastAband := 0, 0
-	for t := s.nextBucket(&opt, &st, -1); t >= 0; t = s.nextBucket(&opt, &st, t) {
+	lastGen, lastProbed, lastAband := 0, 0, 0
+	for t := s.nextBucket(&opt, &st, noTable); t != noTable; t = s.nextBucket(&opt, &st, t) {
 		if clk.on {
 			// Everything since the previous boundary: sequence advances,
-			// best-first scans, empty-bucket emissions, this bucket's lookup.
-			clk.tick(trace.StageProbe, int32(t), trace.Work{Buckets: int32(st.BucketsGenerated - lastGen), Probed: 1})
-			lastGen = st.BucketsGenerated
+			// best-first scans, empty-bucket emissions, this bucket's lookup
+			// (or this sweep chunk's walk of the visited array).
+			clk.tick(trace.StageProbe, int32(max(t, noTable)), trace.Work{Buckets: int32(st.BucketsGenerated - lastGen), Probed: int32(st.BucketsProbed - lastProbed)})
+			lastGen, lastProbed = st.BucketsGenerated, st.BucketsProbed
 		}
 		var cand []int32
 		filteredBefore := st.Filtered
-		if filtered {
+		if masked || s.tombs != nil {
 			cand = s.gatherFiltered(&opt, &st)
 		} else {
 			cand = s.gather()
@@ -339,8 +362,9 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 	}
 	if clk.on {
 		// Loop-exit remainder: trailing sequence advances, scans and
-		// empty buckets since the last boundary belong to probing.
-		clk.tick(trace.StageProbe, -1, trace.Work{Buckets: int32(st.BucketsGenerated - lastGen)})
+		// empty buckets since the last boundary belong to probing. The
+		// sequences' frontier high-water marks ride on this span.
+		clk.tick(trace.StageProbe, -1, trace.Work{Buckets: int32(st.BucketsGenerated - lastGen), Frontier: s.frontier()})
 	}
 	if rerank {
 		// Drain: select the quantized-best keep, evaluate exactly those —
@@ -454,23 +478,46 @@ func (s *Searcher) startRerank(opt *Options) {
 	}
 }
 
+// What nextBucket returns, and takes as prev, in place of a table.
+const (
+	noTable    = -1 // prev: nothing consumed yet; returned: the search is over
+	sweepTable = -2 // s.ref holds a chunk of the sweep, not a bucket
+)
+
+// sweepChunk is how many unvisited ids the sweep hands to gather at a
+// time: enough to amortise the stage boundaries, small enough that the
+// candidate buffers stay the size bucket probing made them.
+const sweepChunk = 1024
+
 // nextBucket is the probe stage: it advances the merged probe — the
 // table whose next bucket has the smallest score goes first (ties:
 // lowest table id; table counts are ≤ 30, so a linear scan beats a
 // heap) — until it lands on a non-empty bucket, which it leaves in
 // s.ref, returning that bucket's table. prev is the table whose bucket
-// the caller just consumed (-1 on the first call). It returns -1 when
-// the search is over: a budget is spent, the early-stop or radius rule
-// fired, or every sequence is exhausted.
+// the caller just consumed (noTable on the first call). It returns
+// noTable when the search is over: a budget is spent, the early-stop
+// or radius rule fired, or every sequence is exhausted.
+//
+// A generate-to-probe sequence reaches the last occupied bucket only
+// near the end of its 2^m codes, and a search that nothing can stop must
+// evaluate every live item whatever the order. So once such a search has
+// generated more buckets than the view has items it stops generating:
+// the ids not yet visited arrive in s.ref, a chunk per call (sweepTable),
+// and pass through the same gather and scoring stages. The top-k heap
+// breaks ties on id, not on arrival, so the answer is the one full
+// enumeration would have reached.
 func (s *Searcher) nextBucket(opt *Options, st *Stats, prev int) int {
+	if s.sweepFrom >= 0 {
+		return s.nextSweep()
+	}
 	states := s.states
 	for {
 		if prev >= 0 {
 			if opt.MaxCandidates > 0 && st.Candidates >= opt.MaxCandidates {
-				return -1
+				return noTable
 			}
 			if opt.MaxBuckets > 0 && st.BucketsGenerated >= opt.MaxBuckets {
-				return -1
+				return noTable
 			}
 			p := &states[prev]
 			p.code, p.score, p.alive = p.seq.Next()
@@ -482,9 +529,9 @@ func (s *Searcher) nextBucket(opt *Options, st *Stats, prev int) int {
 			}
 		}
 		if best < 0 {
-			return -1
+			return noTable
 		}
-		if s.qd && opt.Mu > 0 && (opt.EarlyStop || opt.Radius > 0) {
+		if s.qdStop {
 			// µ·QD lower-bounds the true distance of every item in any
 			// bucket with this or a larger QD (Theorem 2); distances
 			// here are squared, so compare against the squared bound.
@@ -495,12 +542,17 @@ func (s *Searcher) nextBucket(opt *Options, st *Stats, prev int) int {
 			bound := opt.Mu * states[best].score
 			if opt.EarlyStop && s.ptop.Full() && bound*bound >= s.ptop.Worst() {
 				st.EarlyStopped = true
-				return -1
+				return noTable
 			}
 			if opt.Radius > 0 && bound >= opt.Radius {
 				st.EarlyStopped = true
-				return -1
+				return noTable
 			}
+		}
+		if s.unbounded && st.BucketsGenerated > s.ix.N {
+			s.sweepFrom = 0
+			s.tombs = s.ix.TombWords()
+			return s.nextSweep()
 		}
 		st.BucketsGenerated++
 		// The bucket arrives as one flat id slice per frozen segment plus
@@ -512,6 +564,36 @@ func (s *Searcher) nextBucket(opt *Options, st *Stats, prev int) int {
 		}
 		prev = best
 	}
+}
+
+// nextSweep leaves the next sweepChunk unvisited ids in s.ref, or
+// reports the search over when the id space is walked.
+func (s *Searcher) nextSweep() int {
+	ids := s.sweepIDs[:0]
+	id := s.sweepFrom
+	for ; id < s.ix.N && len(ids) < sweepChunk; id++ {
+		if s.visited[id] != s.epoch {
+			ids = append(ids, int32(id))
+		}
+	}
+	s.sweepFrom, s.sweepIDs = id, ids
+	if len(ids) == 0 {
+		return noTable
+	}
+	s.ref.Segs, s.ref.Tail = s.ref.Segs[:0], ids
+	return sweepTable
+}
+
+// frontier sums the frontier high-water marks of this query's sequences
+// (zero for methods that hold none) — read on the traced path only.
+func (s *Searcher) frontier() int32 {
+	n := 0
+	for _, st := range s.states {
+		if f, ok := st.seq.(interface{ Frontier() int }); ok {
+			n += f.Frontier()
+		}
+	}
+	return int32(n)
 }
 
 // gather is the gather stage's fast path: every id of the probed

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 
 	"gqr/internal/dataset"
@@ -139,9 +141,9 @@ func TestGQREquivalentToQR(t *testing.T) {
 
 func TestGQRSharedTreeIdentical(t *testing.T) {
 	// The §5.3 shared-generation-tree optimization must not change the
-	// emission sequence at all.
+	// heap form's emission sequence at all.
 	ix, ds := buildIndex(t, 300, 12, 10, 1)
-	plain := NewGQR(ix)
+	plain := NewGQRHeap(ix)
 	shared := NewGQRSharedTree(ix)
 	for qi := 0; qi < 5; qi++ {
 		a := NewSequence(plain, ix, 0, ds.Query(qi))
@@ -406,19 +408,36 @@ func TestFig2BucketCountsShape(t *testing.T) {
 
 var benchSink uint64
 
+// BenchmarkGQRGenerateBucket times bucket generation alone, one op per
+// emitted bucket (Start amortised over depth emissions), for the serving
+// generator and the heap comparator side by side: the code lengths span
+// the short-code regime, the long-code benchmark workload and the two
+// word-filling lengths; depth 100 is a light query, 10 000 the long-code
+// regime in which the heap's frontier no longer fits L1.
 func BenchmarkGQRGenerateBucket(b *testing.B) {
-	ix, ds := buildIndex(b, 2000, 16, 14, 1)
-	g := NewGQR(ix)
-	q := ds.Query(0)
-	b.ResetTimer()
-	seq := NewSequence(g, ix, 0, q)
-	for i := 0; i < b.N; i++ {
-		code, _, ok := seq.Next()
-		if !ok {
-			seq = NewSequence(g, ix, 0, q)
-			continue
+	for _, m := range []int{14, 20, 32, 64} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		costs := make([]float64, m)
+		for i := range costs {
+			costs[i] = math.Abs(rng.NormFloat64())
 		}
-		benchSink ^= code
+		ix := stubIndex(m, uint64(rng.Int63())&(1<<uint(m)-1), costs)
+		for _, depth := range []int{100, 10000} {
+			for _, method := range []Method{NewGQR(ix), NewGQRHeap(ix)} {
+				b.Run(fmt.Sprintf("m%d/depth%d/%s", m, depth, method.Name()), func(b *testing.B) {
+					code, costs := project(true, ix.Tables[0].Hasher, nil, nil)
+					seq := method.Start(0, code, costs, nil)
+					b.ResetTimer()
+					for i, left := 0, depth; i < b.N; i++ {
+						code, _, ok := seq.Next()
+						benchSink ^= code
+						if left--; left == 0 || !ok {
+							seq, left = method.Start(0, code, costs, seq), depth
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -440,7 +459,7 @@ func BenchmarkGHRGenerateBucket(b *testing.B) {
 
 func TestGQRNaiveEquivalentToGQR(t *testing.T) {
 	// The abl-heap naive-frontier variant must emit exactly the same
-	// (bucket, score) sequence as the heap-based GQR.
+	// (bucket, score) sequence as the serving GQR.
 	ix, ds := buildIndex(t, 300, 12, 10, 1)
 	heap := NewGQR(ix)
 	naive := NewGQRNaive(ix)

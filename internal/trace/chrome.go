@@ -109,6 +109,9 @@ func WriteChrome(w io.Writer, traces ...*Trace) error {
 			if sp.Work.Abandoned > 0 {
 				args["abandoned"] = sp.Work.Abandoned
 			}
+			if sp.Work.Frontier > 0 {
+				args["frontier"] = sp.Work.Frontier
+			}
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
 				Name: sp.Stage.String(), Cat: "gqr", Ph: "X",
 				Ts:  base + float64(sp.Start.Nanoseconds())/1e3,

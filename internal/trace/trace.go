@@ -108,6 +108,11 @@ type Work struct {
 	// ADCScored counts candidates scored through the quantized
 	// re-ranking stage's asymmetric-distance lookup table.
 	ADCScored int32 `json:"adcScored,omitempty"`
+	// Frontier is the largest number of pending flipping vectors the
+	// query's generate-to-probe sequences held, summed over tables: the
+	// state a long-code query carries, and why its probe spans are slow.
+	// It rides on the closing probe span of a search.
+	Frontier int32 `json:"frontier,omitempty"`
 }
 
 func (w *Work) add(o Work) {
@@ -117,6 +122,7 @@ func (w *Work) add(o Work) {
 	w.Abandoned += o.Abandoned
 	w.Filtered += o.Filtered
 	w.ADCScored += o.ADCScored
+	w.Frontier += o.Frontier
 }
 
 // Span is one timed stage occurrence. Start is the offset from the

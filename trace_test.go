@@ -192,6 +192,16 @@ func TestTraceSpanGrammar(t *testing.T) {
 						t.Fatalf("%s: nothing was filtered", label)
 					}
 					checkSpanGrammar(t, label, tr, rerank)
+					// The frontier's high-water mark rides on the probe
+					// stage: GQR holds one, at most a node per emission
+					// and v^r; no other method has one to report.
+					fr := int(tr.StageWork[trace.StageProbe].Frontier)
+					if method != GQR && fr != 0 {
+						t.Fatalf("%s: frontier of %d nodes reported", label, fr)
+					}
+					if method == GQR && (fr < 1 || fr > st.BucketsGenerated+1) {
+						t.Fatalf("%s: frontier of %d nodes after %d buckets", label, fr, st.BucketsGenerated)
+					}
 				}
 			}
 			single("plain", WithMaxCandidates(100))
