@@ -76,12 +76,18 @@ batch-stress:
 # holds the assembly distance kernel to its Go definition bit for bit
 # over fuzzer-chosen components, offsets and bounds; the fourth holds
 # GQR's queue generator to its slice model and the paper's heap form over
-# fuzzer-chosen code lengths and costs.
+# fuzzer-chosen code lengths and costs. The last two are the server's:
+# its request scanner-or-fallback against encoding/json on arbitrary
+# bytes (same acceptance, same error text, same values to the bit, for
+# all four request types), and arbitrary method/path/body against the
+# whole handler (no panic, no 5xx, nothing read past the body cap).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
 	$(GO) test -fuzz=FuzzGQRSequence -fuzztime=10s -run '^$$' ./internal/query
+	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=10s -run '^$$' ./internal/server
+	$(GO) test -fuzz=FuzzHandlers -fuzztime=10s -run '^$$' ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -41,6 +41,19 @@ import (
 	"gqr/internal/vecmath"
 )
 
+// Connection deadlines. Without the last two a client that sends its
+// headers and then stalls in the body, or holds an idle keep-alive
+// connection, kept a goroutine and a descriptor for as long as it liked.
+// There is no WriteTimeout: /debug/pprof/profile streams for as long as
+// its caller asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds a whole request, body included: the largest
+	// /batch body the handler accepts at d = 128 is 12 MiB.
+	readTimeout = time.Minute
+	idleTimeout = 2 * time.Minute
+)
+
 func main() {
 	var (
 		base        = flag.String("base", "", "fvecs file with base vectors (required)")
@@ -157,7 +170,9 @@ func main() {
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"context"
 	"log/slog"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -127,19 +127,10 @@ func (h *Handler) updateIndexGauges() {
 	h.gMerges.Set(float64(st.Merges))
 }
 
-// workKey carries the per-request work accumulator through the
-// handler's context so the logging middleware can report it.
-type workKey struct{}
-
-type workCarrier struct {
-	queries int
-	stats   gqr.SearchStats
-}
-
 // recordSearchWork adds one request's query work to the cumulative
-// counters and stashes it for the request log line. n is the number of
-// queries answered (a batch records its merged stats once).
-func (h *Handler) recordSearchWork(r *http.Request, st gqr.SearchStats, n int) {
+// counters and to the request's recorder, for its log line. n is the
+// number of queries answered (a batch records its merged stats once).
+func (h *Handler) recordSearchWork(w http.ResponseWriter, st gqr.SearchStats, n int) {
 	if n <= 0 && st == (gqr.SearchStats{}) {
 		return
 	}
@@ -153,16 +144,20 @@ func (h *Handler) recordSearchWork(r *http.Request, st gqr.SearchStats, n int) {
 	if st.EarlyStopped {
 		h.cEarlyStops.Inc()
 	}
-	if wc, ok := r.Context().Value(workKey{}).(*workCarrier); ok {
-		wc.queries += n
-		wc.stats.Merge(st)
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.queries += n
+		rec.work.Merge(st)
 	}
 }
 
-// statusRecorder captures the response code for logging and metrics.
+// statusRecorder is the ResponseWriter the mux's handlers receive: it
+// captures the response code for logging and metrics, and accumulates
+// the request's query work for the log line.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status  int
+	queries int
+	work    gqr.SearchStats
 }
 
 func (s *statusRecorder) WriteHeader(code int) {
@@ -192,36 +187,72 @@ func pathLabel(p string) string {
 	return "other"
 }
 
+// requestSeries are the two series one request observes.
+type requestSeries struct {
+	requests *metrics.Counter
+	latency  *metrics.Histogram
+}
+
+// seriesKey is what selects them; path is a pathLabel.
+type seriesKey struct {
+	method, path string
+	code         int
+}
+
+// maxCachedSeries bounds the cache: the method is the client's to
+// choose, and triples past the bound go through the registry each time.
+const maxCachedSeries = 256
+
+// seriesFor returns the series of one (method, path, code). The
+// registry renders and sorts a label set under its lock on every
+// lookup, so the handler keeps the pointers: a copy-on-write map that
+// requests read without a lock.
+func (h *Handler) seriesFor(key seriesKey) requestSeries {
+	if s, ok := (*h.series.Load())[key]; ok {
+		return s
+	}
+	s := requestSeries{
+		requests: h.reg.CounterWith(mHTTPRequests, "HTTP requests by method, path and status code.",
+			metrics.Labels{"method": key.method, "path": key.path, "code": strconv.Itoa(key.code)}),
+		latency: h.reg.HistogramWith(mHTTPLatency, "HTTP request latency in seconds.", nil,
+			metrics.Labels{"path": key.path}),
+	}
+	h.seriesMu.Lock()
+	defer h.seriesMu.Unlock()
+	if cached := *h.series.Load(); len(cached) < maxCachedSeries {
+		next := maps.Clone(cached)
+		next[key] = s
+		h.series.Store(&next)
+	}
+	return s
+}
+
 // ServeHTTP implements http.Handler: it wraps the mux with structured
 // request logging and per-request metrics recording.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	wc := &workCarrier{}
-	r = r.WithContext(context.WithValue(r.Context(), workKey{}, wc))
 	h.mux.ServeHTTP(rec, r)
 	elapsed := time.Since(start)
 
-	path := pathLabel(r.URL.Path)
-	code := strconv.Itoa(rec.status)
-	h.reg.CounterWith(mHTTPRequests, "HTTP requests by method, path and status code.",
-		metrics.Labels{"method": r.Method, "path": path, "code": code}).Inc()
-	h.reg.HistogramWith(mHTTPLatency, "HTTP request latency in seconds.", nil,
-		metrics.Labels{"path": path}).Observe(elapsed.Seconds())
+	s := h.seriesFor(seriesKey{r.Method, pathLabel(r.URL.Path), rec.status})
+	s.requests.Inc()
+	s.latency.Observe(elapsed.Seconds())
 
-	attrs := []slog.Attr{
+	// Room for every attribute, so that the slice stays on the stack.
+	attrs := append(make([]slog.Attr, 0, 9),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", rec.status),
 		slog.Duration("duration", elapsed),
-	}
-	if wc.queries > 0 {
+	)
+	if rec.queries > 0 {
 		attrs = append(attrs,
-			slog.Int("queries", wc.queries),
-			slog.Int("bucketsGenerated", wc.stats.BucketsGenerated),
-			slog.Int("bucketsProbed", wc.stats.BucketsProbed),
-			slog.Int("candidates", wc.stats.Candidates),
-			slog.Bool("earlyStopped", wc.stats.EarlyStopped),
+			slog.Int("queries", rec.queries),
+			slog.Int("bucketsGenerated", rec.work.BucketsGenerated),
+			slog.Int("bucketsProbed", rec.work.BucketsProbed),
+			slog.Int("candidates", rec.work.Candidates),
+			slog.Bool("earlyStopped", rec.work.EarlyStopped),
 		)
 	}
 	h.log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)

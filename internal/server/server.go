@@ -17,6 +17,11 @@
 //	                        the index was built without tracing)
 //	GET  /debug/pprof/*  (only with WithPprof)
 //
+// A request body is read whole, under a cap derived from the index's
+// dimension (413 beyond it), and a /batch carries at most 1 024 queries
+// (400 beyond that); codec.go is the codec of the four routes that take
+// a body.
+//
 // Every request is logged through log/slog (method, path, status,
 // latency, and the query's §2.2 work stats) and recorded into a
 // process-wide metrics registry. It is the serving substrate for
@@ -32,6 +37,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gqr"
@@ -103,6 +110,11 @@ type Handler struct {
 	// the flight recorder's observer (empty when tracing is off).
 	hStage [trace.NumStages]*metrics.Histogram
 
+	// series caches the per-request series by (method, path, code); see
+	// seriesFor. seriesMu serializes its writers.
+	series   atomic.Pointer[map[seriesKey]requestSeries]
+	seriesMu sync.Mutex
+
 	// coal is the /search request coalescer, nil unless WithCoalescing
 	// enabled it; coalWindow/coalMax carry the option values into New.
 	coal       *coalescer
@@ -151,6 +163,7 @@ func New(ix *gqr.Index, opts ...Option) *Handler {
 	if h.reg == nil {
 		h.reg = metrics.NewRegistry()
 	}
+	h.series.Store(&map[seriesKey]requestSeries{})
 	h.initMetrics()
 	h.initTracing()
 	if h.coalWindow > 0 {
@@ -288,8 +301,13 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if !h.readBody(w, r, buf, bodyLimit(h.dim)) {
+		return
+	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeSearch(buf.b, &req, h.dim); err != nil {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
@@ -321,12 +339,16 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "%v", res.err)
 		return
 	}
-	h.recordSearchWork(r, res.st, 1)
-	resp := SearchResponse{Neighbors: toJSON(res.nbrs)}
-	if req.IncludeStats {
-		resp.Stats = &res.st
+	h.recordSearchWork(w, res.st, 1)
+	// What json.Encoder writes for a SearchResponse.
+	out := append(buf.b[:0], `{"neighbors":`...)
+	out, err := appendNeighbors(out, res.nbrs)
+	if err == nil && req.IncludeStats {
+		out = append(out, `,"stats":`...)
+		out, err = appendJSON(out, res.st)
 	}
-	h.writeJSON(w, resp)
+	buf.b = append(out, "}\n"...)
+	h.writeBody(w, buf.b, err)
 }
 
 func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
@@ -334,24 +356,41 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	dim := h.dim
+	if !h.readBody(w, r, buf, bodyLimit(dim)*maxBatchQueries) {
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	flat, err := decodeBatch(buf.b, &req, dim)
+	if err != nil {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	dim := h.dim
-	// Flatten only well-formed queries; ragged ones become per-entry
-	// errors instead of failing the whole batch.
-	resp := BatchResponse{Results: make([]BatchEntry, len(req.Queries))}
-	flat := make([]float32, 0, len(req.Queries)*dim)
-	backMap := make([]int, 0, len(req.Queries))
+	if len(req.Queries) > maxBatchQueries {
+		h.httpError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatchQueries)
+		return
+	}
+	// Only well-formed queries are searched; ragged ones become
+	// per-entry errors instead of failing the whole batch. slot maps a
+	// request entry to its query's place in the searched block.
+	slot := make([]int, len(req.Queries))
+	wellFormed := 0
 	for i, q := range req.Queries {
-		if len(q) != dim {
-			resp.Results[i].Error = fmt.Sprintf("query %d has dim %d, want %d", i, len(q), dim)
-			continue
+		slot[i] = -1
+		if len(q) == dim {
+			slot[i] = wellFormed
+			wellFormed++
 		}
-		flat = append(flat, q...)
-		backMap = append(backMap, i)
+	}
+	if flat == nil || wellFormed < len(req.Queries) {
+		flat = make([]float32, 0, wellFormed*dim)
+		for i, q := range req.Queries {
+			if slot[i] >= 0 {
+				flat = append(flat, q...)
+			}
+		}
 	}
 	key := batchKey{
 		k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
@@ -365,34 +404,61 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	agg := BatchStats{SlowestQuery: -1}
-	for bi, res := range results {
-		i := backMap[bi]
+	agg := BatchStats{SlowestQuery: -1, Failed: len(req.Queries) - wellFormed}
+	for i, bi := range slot {
+		if bi < 0 {
+			continue
+		}
+		res := &results[bi]
 		if res.Err != nil {
-			resp.Results[i].Error = res.Err.Error()
 			agg.Failed++
 			continue
 		}
-		resp.Results[i].Neighbors = toJSON(res.Neighbors)
 		if req.IncludeStats {
-			st := res.Stats
-			resp.Results[i].Stats = &st
 			// Per-query timing exists only under WithProfile, which
 			// IncludeStats turns on; attribute the batch's slowest query.
-			if qt := st.RetrievalTime + st.EvaluationTime; agg.SlowestQuery < 0 || qt > agg.SlowestQueryTime {
+			if qt := res.Stats.RetrievalTime + res.Stats.EvaluationTime; agg.SlowestQuery < 0 || qt > agg.SlowestQueryTime {
 				agg.SlowestQuery, agg.SlowestQueryTime = i, qt
 			}
 		}
 		agg.Stats.Merge(res.Stats)
 		agg.Answered++
 	}
-	agg.Failed += len(req.Queries) - len(backMap)
 	h.cBatches.Inc()
-	h.hBatchSize.Observe(float64(len(backMap)))
-	h.recordSearchWork(r, agg.Stats, agg.Answered)
+	h.hBatchSize.Observe(float64(wellFormed))
+	h.recordSearchWork(w, agg.Stats, agg.Answered)
 	h.cQueryErrors.Add(int64(agg.Failed))
-	resp.Batch = &agg
-	h.writeJSON(w, resp)
+
+	// What json.Encoder writes for a BatchResponse.
+	out := append(buf.b[:0], `{"results":[`...)
+	for i, bi := range slot {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		switch {
+		case bi < 0:
+			out = appendEntryError(out, fmt.Sprintf("query %d has dim %d, want %d", i, len(req.Queries[i]), dim))
+		case results[bi].Err != nil:
+			out = appendEntryError(out, results[bi].Err.Error())
+		default:
+			out = append(out, `{"neighbors":`...)
+			out, err = appendNeighbors(out, results[bi].Neighbors)
+			if err == nil && req.IncludeStats {
+				out = append(out, `,"stats":`...)
+				out, err = appendJSON(out, results[bi].Stats)
+			}
+			out = append(out, '}')
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		out = append(out, `],"batch":`...)
+		out, err = appendJSON(out, agg)
+	}
+	buf.b = append(out, "}\n"...)
+	h.writeBody(w, buf.b, err)
 }
 
 func (h *Handler) add(w http.ResponseWriter, r *http.Request) {
@@ -400,8 +466,13 @@ func (h *Handler) add(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if !h.readBody(w, r, buf, bodyLimit(h.dim)) {
+		return
+	}
 	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeAdd(buf.b, &req, h.dim); err != nil {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
@@ -410,7 +481,8 @@ func (h *Handler) add(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h.writeJSON(w, AddResponse{ID: id})
+	buf.b = appendID(buf.b[:0], id)
+	h.writeBody(w, buf.b, nil)
 }
 
 // vectorID parses the {id} path segment; ok=false means the 400 is
@@ -445,8 +517,13 @@ func (h *Handler) updateVector(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if !h.readBody(w, r, buf, bodyLimit(h.dim)) {
+		return
+	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeUpdate(buf.b, &req, h.dim); err != nil {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
@@ -462,7 +539,8 @@ func (h *Handler) updateVector(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	h.writeJSON(w, UpdateResponse{ID: newID})
+	buf.b = appendID(buf.b[:0], newID)
+	h.writeBody(w, buf.b, nil)
 }
 
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
@@ -478,12 +556,22 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func toJSON(nbrs []gqr.Neighbor) []NeighborJSON {
-	out := make([]NeighborJSON, len(nbrs))
-	for i, nb := range nbrs {
-		out[i] = NeighborJSON{ID: nb.ID, Distance: nb.Distance}
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a response the codec encoded, or — nothing being
+// written yet — a 500 when it could not: a non-finite distance has no
+// JSON form.
+func (h *Handler) writeBody(w http.ResponseWriter, body []byte, encodeErr error) {
+	if encodeErr != nil {
+		h.log.Error("response encode failed", "error", encodeErr)
+		h.httpError(w, http.StatusInternalServerError, "%v", encodeErr)
+		return
 	}
-	return out
+	// Header.Set would allocate this slice anew for every response.
+	w.Header()["Content-Type"] = jsonContentType
+	if _, err := w.Write(body); err != nil {
+		h.log.Error("response write failed", "error", err)
+	}
 }
 
 func (h *Handler) writeJSON(w http.ResponseWriter, v any) {
