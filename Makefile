@@ -57,16 +57,13 @@ durability:
 lifecycle:
 	$(GO) test -race -run 'Lifecycle' .
 
-# Batched-execution gate under the race detector: the batch-vs-
-# sequential oracle (every querying method × rerank/tombstones/
-# filter/tagmask/sharded/duplicates must return bit-identical
-# neighbors AND work counters), the concurrent Add/Delete/seal stress
-# of the batch engine's snapshot capture and pooled plan arena, and
-# the server-side request coalescer. This is the regression gate for
-# the batched query engine (DESIGN.md §8h).
+# Batch gate under the race detector: the batch-vs-sequential oracle
+# (every querying method × rerank/tombstones/filter/tagmask/sharded/
+# duplicates must return bit-identical neighbors AND work counters) and
+# the concurrent Add/Delete/seal stress of the batch fan-out's one
+# snapshot per batch and its pooled searchers (DESIGN.md §8h).
 batch-stress:
 	$(GO) test -race -run 'TestBatch|TestShardedBatch' .
-	$(GO) test -race -run 'TestCoalesc' ./internal/server
 
 # Short fuzz runs over the two untrusted-input parsers: the index
 # loader (GQRPUB1/GQRIDX3 streams, seeded with tombstone bitmaps and
@@ -119,9 +116,6 @@ bench-harness:
 # root are the committed snapshots from the re-ranking PR
 # (BENCH_PR6.json: flight-recorder PR, BENCH_PR5.json: parallel-build
 # overhaul, BENCH_PR4.json: evaluation-kernel snapshot).
-# BENCH_PR10.json is the batched-execution snapshot (batch sizes
-# 0/1/8/64/256 × querying methods at d=128, the coalesced-duplicates
-# workload, QPS + p99 per row) from the batch-engine PR.
 bench-json:
 	$(GO) run ./cmd/gqr-bench -json BENCH_PR9_micro.json
 	@cat BENCH_PR9_micro.json
@@ -129,5 +123,3 @@ bench-json:
 	@cat BENCH_PR9.json
 	$(GO) run ./cmd/gqr-bench -nq 50 -k 10 -rerank-dim 128 -rerank BENCH_PR9_d128.json
 	@cat BENCH_PR9_d128.json
-	$(GO) run ./cmd/gqr-bench -nq 256 -k 10 -batch BENCH_PR10.json
-	@cat BENCH_PR10.json

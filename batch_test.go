@@ -22,9 +22,7 @@ func flatQueries(ds *dataset.Dataset) []float32 {
 // states (tombstones pending) and query predicates (tag mask, filter),
 // SearchBatchWithStats must return bit-identical per-query results —
 // neighbors AND work counters — to sequential SearchWithStats calls.
-// SH and KMH exercise the non-batchable fallback (their projections are
-// not affine, so the planner skips their tables and the searcher falls
-// back to per-query projection).
+// SH and KMH cover the learners whose projections are not affine.
 func TestBatchMatchesSequentialOracle(t *testing.T) {
 	ds := demoData(t)
 	flat := flatQueries(ds)
@@ -108,11 +106,10 @@ func TestBatchMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
-// TestBatchDuplicateQueries covers duplicate suppression: a batch with
-// byte-identical members — the shape server-side coalescing produces —
-// must return each duplicate the same neighbors and stats a sequential
-// search of that query yields, with its own result slice (mutating one
-// copy must not leak into another).
+// TestBatchDuplicateQueries: a batch with byte-identical members must
+// return each duplicate the same neighbors and stats a sequential search
+// of that query yields, with its own result slice (mutating one copy
+// must not leak into another).
 func TestBatchDuplicateQueries(t *testing.T) {
 	ds := demoData(t)
 	for _, build := range [][]Option{
@@ -213,7 +210,7 @@ func TestBatchSearchAllocs(t *testing.T) {
 	}
 	flat := flatQueries(ds)
 	nq := ds.NQ()
-	// Warm the snapshot pool and batch-state pool.
+	// Warm the snapshot's searcher pool.
 	for i := 0; i < 3; i++ {
 		if _, err := ix.SearchBatchWithStats(flat, 10, WithMaxCandidates(500)); err != nil {
 			t.Fatal(err)
@@ -234,8 +231,8 @@ func TestBatchSearchAllocs(t *testing.T) {
 
 // TestBatchConcurrentLifecycleStress runs batched searches against a
 // live index while a writer adds, deletes and seals concurrently —
-// the -race stress of the batch engine's snapshot capture, pooled
-// batch state and shared plan arena. Results are not checked against
+// the -race stress of the batch fan-out's one snapshot per batch and
+// its pooled searchers. Results are not checked against
 // an oracle here (the corpus moves underneath); the invariants are no
 // data race, no panic, and well-formed per-query results.
 func TestBatchConcurrentLifecycleStress(t *testing.T) {

@@ -118,16 +118,16 @@ func benchSearchParallel(b *testing.B, m QueryMethod, budget int) {
 	})
 }
 
-// benchSearchBatch measures amortized per-query cost through the batch
-// engine at a fixed batch size: b.N counts queries, so ns/op is
-// directly comparable with the single-query benchmarks above.
+// benchSearchBatch measures per-query cost through SearchBatch at a
+// fixed batch size: b.N counts queries, so ns/op is directly comparable
+// with the single-query benchmarks above.
 func benchSearchBatch(b *testing.B, m QueryMethod, batch, budget int) {
 	ix, ds := apiIndex(b, m)
 	flat := make([]float32, 0, batch*ds.Dim)
 	for qi := 0; qi < batch; qi++ {
 		flat = append(flat, ds.Query(qi%ds.NQ())...)
 	}
-	// Warm the searcher pool and pooled batch scratch off the clock.
+	// Warm the searcher pool off the clock.
 	if _, err := ix.SearchBatch(flat, 10, WithMaxCandidates(budget)); err != nil {
 		b.Fatal(err)
 	}

@@ -52,16 +52,8 @@ func main() {
 		lifecycle   = flag.Bool("lifecycle", false, "run the corpus-lifecycle sweep: budget-1000 latency at 0/10/50% deleted, before and after compaction")
 		rerankOut   = flag.String("rerank", "", "run the quantized re-ranking sweep (m x factor grid, recall@k + latency) and write JSON results to this file ('-' for stdout)")
 		rerankDim   = flag.Int("rerank-dim", 32, "with -rerank: corpus dimensionality (32 runs the full m x factor grid; other dims run a trimmed evaluation-heavy grid)")
-		batchOut    = flag.String("batch", "", "run the batched-execution sweep (batch sizes 1/8/64/256 x querying methods, QPS + p99) and write JSON results to this file ('-' for stdout)")
 	)
 	flag.Parse()
-
-	if *batchOut != "" {
-		if err := runBatchSweep(*batchOut, *nq, *k, *seed, *buildProcs); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *rerankOut != "" {
 		if err := runRerankSweep(*rerankOut, *nq, *k, *seed, *buildProcs, *rerankDim); err != nil {

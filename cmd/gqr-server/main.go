@@ -74,8 +74,6 @@ func main() {
 		traceSample = flag.Int("trace-sample", 0, "capture every n-th query into the flight recorder on /debug/querytrace (0 = off)")
 		slowQueryMS = flag.Float64("slow-query-ms", 0, "always capture queries at or above this latency in milliseconds (0 = off)")
 		traceBuf    = flag.Int("trace-buffer", 0, "flight-recorder ring capacity in traces (0 = default 64)")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce concurrent /search requests with identical parameters for up to this long and answer them as one batched execution (0 = off)")
-		batchMax    = flag.Int("batch-max", 64, "with -batch-window, max requests per coalesced batch")
 	)
 	flag.Parse()
 	if *base == "" {
@@ -161,10 +159,6 @@ func main() {
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
-	}
-	if *batchWindow > 0 {
-		opts = append(opts, server.WithCoalescing(*batchWindow, *batchMax))
-		logger.Info("search coalescing enabled", "window", *batchWindow, "maxBatch", *batchMax)
 	}
 	h := server.New(ix, opts...)
 	srv := &http.Server{

@@ -145,8 +145,9 @@ func (s *snapshot) release(sr *query.Searcher) { s.pool.Put(sr) }
 // Index is a learned-hash ANN index over a set of vectors. An Index is
 // safe for concurrent use: any number of Search, SearchWithStats and
 // SearchBatch calls may run alongside Add (and each other). Readers
-// work on an immutable snapshot swapped atomically by writers, so the
-// query hot path takes no lock; see Add for the visibility contract.
+// work on an immutable snapshot swapped atomically by writers (a batch
+// captures one for all its queries), so the query hot path takes no
+// lock; see Add for the visibility contract.
 type Index struct {
 	metric     Metric
 	methodName string
@@ -409,7 +410,7 @@ func totalsOf(k int, sc searchConfig, st SearchStats) trace.Totals {
 
 // searchSnapshot is the single-query front half shared by
 // SearchWithStats and a sharded fan-out's legs: acquire (possibly
-// republish) the snapshot, check out a searcher, normalize, searchOne.
+// republish) the snapshot, check out a searcher, searchOne.
 func (ix *Index) searchSnapshot(q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
 	snap, err := ix.currentSnapshot()
 	if err != nil {
@@ -418,29 +419,28 @@ func (ix *Index) searchSnapshot(q []float32, k int, sc searchConfig, tr *trace.T
 	tr.Mark(trace.StageSnapshot, -1)
 	s := snap.searcher()
 	defer snap.release(s)
+	return ix.searchOne(snap, s, q, k, sc, tr)
+}
+
+// searchOne is the one query entry point behind Search, SearchBatch and
+// the sharded fan-out: it normalizes q for the metric, runs it through
+// searcher s over snap and converts the outcome to the public types.
+// Spans and totals go into tr (nil-safe, so the untraced path pays only
+// nil checks); beginning and ending the record stay with its owner.
+func (ix *Index) searchOne(snap *snapshot, s *query.Searcher, q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
 	if ix.metric == Angular && len(q) == snap.view.Dim {
 		qb := s.Qbuf()
 		copy(qb, q)
 		normalizeRow(qb)
 		q = qb
 	}
-	return ix.searchOne(snap, s, nil, q, k, sc, tr)
-}
-
-// searchOne is the one query entry point behind Search, SearchBatch and
-// the sharded fan-out: it runs the (already metric-normalized) query q
-// through searcher s over snap and converts the outcome to the public
-// types. prep is a batch member's prepared view, nil otherwise. Spans
-// and totals go into tr (nil-safe, so the untraced path pays only nil
-// checks); beginning and ending the record stay with its owner.
-func (ix *Index) searchOne(snap *snapshot, s *query.Searcher, prep *query.Prepared, q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
 	// One NaN poisons every heap comparison downstream. Normalization
 	// cannot hide one: it turns NaN and ±Inf components into NaN.
 	if i := firstNonFinite(q); i >= 0 {
 		return nil, SearchStats{}, fmt.Errorf("gqr: query component %d is not finite", i)
 	}
 	tr.Mark(trace.StagePreprocess, -1)
-	res, err := s.SearchPrepared(q, prep, query.Options{
+	res, err := s.Search(q, query.Options{
 		K:             k,
 		MaxCandidates: sc.maxCandidates,
 		MaxBuckets:    sc.maxBuckets,

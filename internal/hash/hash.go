@@ -136,42 +136,6 @@ func (p *projHasher) QueryProjection(x []float32, costs []float64) uint64 {
 	return code
 }
 
-// BatchProjector is implemented by hashers whose QueryProjection is an
-// affine map followed by sign/abs thresholding: p(x) = H·(x − mean),
-// code bit i set iff p_i(x) ≥ 0, cost i = |p_i(x)|. Exposing (H, mean)
-// lets a batch engine compute the projections of many queries with one
-// parallel matmul (vecmath.MulBatch32 accumulates each row in the same
-// float64 j-order as projHasher.project, so batched projections are
-// bit-for-bit identical to per-query QueryProjection). Hashers with
-// non-affine projections (SH's eigenfunctions, KMH's codeword
-// distances) do not implement it and fall back to per-query paths.
-type BatchProjector interface {
-	// ProjectionMatrix returns the m×d hashing matrix H and the length-d
-	// centering mean (nil means no centering). Both are immutable after
-	// training and safe for concurrent use.
-	ProjectionMatrix() (h *vecmath.Mat, mean []float64)
-}
-
-// ProjectionMatrix implements BatchProjector.
-func (p *projHasher) ProjectionMatrix() (*vecmath.Mat, []float64) { return p.h, p.mean }
-
-// CodeAndCosts converts one raw projection row (as produced by
-// vecmath.MulBatch32 against a BatchProjector's matrix) into the packed
-// code and per-bit flipping costs in place, exactly mirroring
-// projHasher.QueryProjection: bit i is set when proj[i] ≥ 0, and the
-// cost is the absolute value.
-func CodeAndCosts(proj []float64) uint64 {
-	var code uint64
-	for i, v := range proj {
-		if v >= 0 {
-			code |= 1 << uint(i)
-		} else {
-			proj[i] = -v
-		}
-	}
-	return code
-}
-
 // SpectralNormBound returns σ_max(H), the constant M of Theorem 1, for
 // any projection-based hasher.
 func SpectralNormBound(h *projHasher) float64 {

@@ -3,13 +3,12 @@
 // are evaluated against (HR, GHR/hash lookup, MIH), plus the searcher
 // that executes retrieval and evaluation over a hash index.
 //
-// Every query is a prepared query. A Prepared holds what a querying
-// method needs of a query — per table, the code c(q) and the flipping
-// costs |p_i(q)| — and Method.Start is the only way a probe sequence
-// begins. Searcher.SearchPrepared is the only pipeline: a short driver
-// over one function per stage (sequence, probe, gather, rerank or
-// evaluate, finalize), the same stages a flight record shows. Search
-// prepares the query itself; a BatchPlan prepares many at once.
+// A querying method sees a query only as what it needs of it — per
+// table, the code c(q) and the flipping costs |p_i(q)| — and
+// Method.Start is the only way a probe sequence begins. Searcher.Search
+// is the only pipeline: a short driver over one function per stage
+// (sequence, probe, gather, rerank or evaluate, finalize), the same
+// stages a flight record shows.
 //
 // Terminology follows the paper:
 //
@@ -50,8 +49,7 @@ type ProbeSequence interface {
 //
 // A query reaches a method only as its projected vector, the pair the
 // paper's querying stage is defined over: the code c(q) and the per-bit
-// flipping costs |p_i(q)|. Who computed the pair — the searcher for one
-// query, a BatchPlan for many — is invisible to the method.
+// flipping costs |p_i(q)|.
 type Method interface {
 	// Name identifies the querying method ("gqr", "hr", ...).
 	Name() string

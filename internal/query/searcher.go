@@ -126,9 +126,12 @@ type Searcher struct {
 	epoch   uint32
 	qbuf    []float32
 
-	// own is the view Search prepares for itself; costs and adcRows are
-	// the buffers any view (own or a batch's) is completed from.
-	own     Prepared
+	// The prepared query: per table, the code and flipping costs that
+	// define quantization distance (the outputs of
+	// hash.Hasher.QueryProjection), and for re-ranked indexes its ADC
+	// rows, built from the rotated query in rotQ when the quantizer
+	// rotates.
+	qcodes  []uint64
 	costs   [][]float64
 	adcRows [][256]float32
 	rotQ    []float32
@@ -190,7 +193,7 @@ type Searcher struct {
 // tick as one stage span. Profiling (Stats.RetrievalTime /
 // EvaluationTime) and flight-recorder traces both consume its
 // boundaries, so there is no second timing codepath. Only the
-// SearchPrepared driver holds it; no stage function sees the clock or
+// Search driver holds it; no stage function sees the clock or
 // the trace. When off, the driver pays one predictable branch per
 // boundary (`if clk.on`) and computes no Work annotations.
 type stageClock struct {
@@ -238,8 +241,8 @@ func NewSearcher(ix *index.Index, method Method) *Searcher {
 		ix: ix, method: method, qd: method.QDScores(),
 		visited: make([]uint32, ix.N),
 		states:  make([]tableState, nt),
+		qcodes:  make([]uint64, nt),
 		costs:   make([][]float64, nt),
-		own:     Prepared{Codes: make([]uint64, nt), Costs: make([][]float64, nt)},
 	}
 	if ix.PendingTombstones() > 0 {
 		s.pending = ix.TombWords()
@@ -272,26 +275,11 @@ func (s *Searcher) Qbuf() []float32 {
 // (a probe sequence per table, merged best-score-first) and evaluation
 // (exact distances of the candidates, bounded max-heap of size K) — and
 // returns the approximate k-nearest neighbors in ascending distance
-// order. It is SearchPrepared with nothing prepared.
-func (s *Searcher) Search(q []float32, opt Options) (Result, error) {
-	return s.SearchPrepared(q, nil, opt)
-}
-
-// SearchPrepared is the pipeline. prep is the query's prepared view —
-// per-table codes and flipping costs, ADC rows — as far as the caller
-// has it: a batch engine passes its plan's view (BatchPlan.Fill), nil
-// means nothing is prepared. Whatever is blank (a table with Costs[t]
-// == nil, absent ADC rows) the pipeline completes in place from q,
-// inside the span that consumes it, so results do not depend on who
-// prepared what. prep must cover every table and is borrowed for the
-// call. The body is the stage driver: each stage is one function, each
+// order. The body is the stage driver: each stage is one function, each
 // trace.Stage span closes beside the one call of its function, and the
 // stage clock lives only here.
-func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Result, error) {
-	if prep == nil {
-		prep = s.blankView()
-	}
-	if err := s.validate(q, prep, &opt); err != nil {
+func (s *Searcher) Search(q []float32, opt Options) (Result, error) {
+	if err := s.validate(q, &opt); err != nil {
 		return Result{}, err
 	}
 	// K arrives from request bodies and sizes the heaps; no search can
@@ -303,8 +291,8 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 	clk := &s.clock
 	clk.reset(opt.Trace, opt.Profile || opt.Trace != nil)
 
-	s.prepareCodes(q, prep)
-	s.startSequences(prep)
+	s.prepareCodes(q)
+	s.startSequences()
 	if clk.on {
 		clk.tick(trace.StageSequence, -1, trace.Work{})
 	}
@@ -320,7 +308,7 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 	s.top.Reset(opt.K)
 	s.ptop = &s.top
 	if rerank {
-		s.prepareADC(q, prep)
+		s.adcRows = s.quant.ADCRows(q, s.adcRows, s.rotQ)
 		s.startRerank(&opt)
 		if clk.on {
 			clk.tick(trace.StageRerank, -1, trace.Work{})
@@ -348,7 +336,7 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 			clk.tick(trace.StageGather, int32(t), trace.Work{Candidates: int32(len(cand)), Filtered: int32(st.Filtered - filteredBefore)})
 		}
 		if rerank {
-			s.scoreADC(prep.ADCRows, cand, &st)
+			s.scoreADC(cand, &st)
 			if clk.on {
 				clk.tick(trace.StageRerank, int32(t), trace.Work{ADCScored: int32(len(cand))})
 			}
@@ -388,23 +376,13 @@ func (s *Searcher) SearchPrepared(q []float32, prep *Prepared, opt Options) (Res
 	return Result{IDs: ids, Dists: dists, Stats: st}, nil
 }
 
-// blankView returns the searcher's own view with nothing prepared.
-func (s *Searcher) blankView() *Prepared {
-	clear(s.own.Costs)
-	s.own.ADCRows = nil
-	return &s.own
-}
-
 // validate rejects a call the pipeline cannot run.
-func (s *Searcher) validate(q []float32, prep *Prepared, opt *Options) error {
+func (s *Searcher) validate(q []float32, opt *Options) error {
 	if opt.K <= 0 {
 		return fmt.Errorf("query: K must be positive, got %d", opt.K)
 	}
 	if len(q) != s.ix.Dim {
 		return fmt.Errorf("query: query dim %d != index dim %d", len(q), s.ix.Dim)
-	}
-	if nt := len(s.ix.Tables); len(prep.Codes) != nt || len(prep.Costs) != nt {
-		return fmt.Errorf("query: prepared view covers %d tables, index has %d", len(prep.Codes), nt)
 	}
 	return nil
 }
@@ -424,27 +402,12 @@ func (s *Searcher) nextEpoch() {
 	}
 }
 
-// prepareCodes completes the view's retrieval half: every table the
-// caller left blank (Costs[t] == nil — the searcher's own view, or a
-// batch view over a hasher with no affine projection) gets its code and
-// flipping costs from the hasher, into the searcher's cost rows.
-// Hamming-score methods leave Costs[t] nil: they never read it.
-func (s *Searcher) prepareCodes(q []float32, prep *Prepared) {
+// prepareCodes projects the query on every table: its code and, for QD
+// methods, its flipping costs. Hamming-score methods leave costs[t] nil:
+// they never read it.
+func (s *Searcher) prepareCodes(q []float32) {
 	for t, tab := range s.ix.Tables {
-		if prep.Costs[t] == nil {
-			prep.Codes[t], s.costs[t] = project(s.qd, tab.Hasher, q, s.costs[t])
-			prep.Costs[t] = s.costs[t]
-		}
-	}
-}
-
-// prepareADC completes the view's re-ranking half: absent ADC rows are
-// built into the searcher's own (M·K float32s, cache-resident for the
-// whole probe loop).
-func (s *Searcher) prepareADC(q []float32, prep *Prepared) {
-	if len(prep.ADCRows) != s.quant.M() {
-		s.adcRows = s.quant.ADCRows(q, s.adcRows, s.rotQ)
-		prep.ADCRows = s.adcRows
+		s.qcodes[t], s.costs[t] = project(s.qd, tab.Hasher, q, s.costs[t])
 	}
 }
 
@@ -452,10 +415,10 @@ func (s *Searcher) prepareADC(q []float32, prep *Prepared) {
 // started from the prepared pair and advanced to its first bucket. Slot
 // t always holds table t's sequence, so the method recycles the right
 // buffers.
-func (s *Searcher) startSequences(prep *Prepared) {
+func (s *Searcher) startSequences() {
 	for t := range s.states {
 		st := &s.states[t]
-		st.seq = s.method.Start(t, prep.Codes[t], prep.Costs[t], st.seq)
+		st.seq = s.method.Start(t, s.qcodes[t], s.costs[t], st.seq)
 		st.code, st.score, st.alive = st.seq.Next()
 	}
 }
@@ -664,7 +627,7 @@ func (s *Searcher) gatherFiltered(opt *Options, st *Stats) []int32 {
 // The flat buffer is folded down to its running top-keep whenever it
 // outgrows a few multiples of keep: selection retains every candidate
 // that could still survive, so folding only bounds memory.
-func (s *Searcher) scoreADC(rows [][256]float32, ids []int32, st *Stats) {
+func (s *Searcher) scoreADC(ids []int32, st *Stats) {
 	st.ADCScored += len(ids)
 	base := 0
 	if s.flatADC {
@@ -673,7 +636,7 @@ func (s *Searcher) scoreADC(rows [][256]float32, ids []int32, st *Stats) {
 	need := base + len(ids)
 	s.adcDists = slices.Grow(s.adcDists[:base], len(ids))[:need]
 	out := s.adcDists[base:need:need]
-	adcKernel(rows, s.codes, ids, out)
+	adcKernel(s.adcRows, s.codes, ids, out)
 	if s.flatADC {
 		s.adcIDs = append(s.adcIDs, ids...)
 		if len(s.adcIDs) > max(4*s.keep, 4096) {

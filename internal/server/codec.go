@@ -113,7 +113,7 @@ func decodeStd[T any](b []byte, req *T) error {
 // and is no validation.
 func decodeSearch(b []byte, req *SearchRequest, dim int) error {
 	s := scanner{b: b}
-	var p batchKey
+	var p searchParams
 	if !s.object(func(key []byte) (ok bool) {
 		if string(key) == "query" {
 			req.Query, ok = s.floats(make([]float32, 0, dim))
@@ -133,7 +133,7 @@ func decodeSearch(b []byte, req *SearchRequest, dim int) error {
 // have the index's dimension is then searched in place.
 func decodeBatch(b []byte, req *BatchRequest, dim int) (flat []float32, err error) {
 	s := scanner{b: b}
-	var p batchKey
+	var p searchParams
 	if !s.object(func(key []byte) (ok bool) {
 		if string(key) == "queries" {
 			flat, req.Queries, ok = s.batchQueries(dim)
@@ -267,9 +267,21 @@ func (s *scanner) object(member func(key []byte) bool) bool {
 	}
 }
 
+// searchParams are the search parameters /search and /batch share, as
+// param scans them.
+type searchParams struct {
+	k          int
+	maxCand    int
+	maxBuckets int
+	radius     float64
+	earlyStop  bool
+	tagMask    uint64
+	stats      bool
+}
+
 // param scans the value of one of the search parameters /search and
 // /batch share.
-func (s *scanner) param(key []byte, p *batchKey) (ok bool) {
+func (s *scanner) param(key []byte, p *searchParams) (ok bool) {
 	switch string(key) {
 	case "k":
 		p.k, ok = s.int()

@@ -136,7 +136,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 func TestScannerTakesThePlainShape(t *testing.T) {
 	var s SearchRequest
 	sc := scanner{b: []byte(`{"query":[1,2,3,4],"k":10,"maxCandidates":200}`)}
-	var p batchKey
+	var p searchParams
 	if !sc.object(func(key []byte) (ok bool) {
 		if string(key) == "query" {
 			s.Query, ok = sc.floats(nil)

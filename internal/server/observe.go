@@ -29,7 +29,6 @@ const (
 	mEarlyStops      = "gqr_search_early_stops_total"
 	mQueryErrors     = "gqr_search_query_errors_total"
 	mBatches         = "gqr_search_batches_total"
-	mBatchSize       = "gqr_search_batch_size"
 	mIndexItems      = "gqr_index_items"
 	mIndexTables     = "gqr_index_tables"
 	mIndexCodeBits   = "gqr_index_code_bits"
@@ -67,9 +66,7 @@ func (h *Handler) initMetrics() {
 	h.cReranked = h.reg.Counter(mReranked, "Re-ranking survivors handed to exact evaluation (at most factor*k per query).")
 	h.cEarlyStops = h.reg.Counter(mEarlyStops, "Queries terminated by the QD lower-bound rule (paper §4.1).")
 	h.cQueryErrors = h.reg.Counter(mQueryErrors, "Per-query failures inside /batch requests.")
-	h.cBatches = h.reg.Counter(mBatches, "Batched executions: /batch requests plus /search coalescer flushes.")
-	h.hBatchSize = h.reg.Histogram(mBatchSize, "Queries per batched execution (how well coalescing packs requests).",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
+	h.cBatches = h.reg.Counter(mBatches, "Batched executions: /batch requests.")
 	h.gItems = h.reg.Gauge(mIndexItems, "Vectors in the index.")
 	h.gTables = h.reg.Gauge(mIndexTables, "Hash tables in the index.")
 	h.gCodeBits = h.reg.Gauge(mIndexCodeBits, "Binary code length in bits.")
@@ -281,8 +278,7 @@ type SearchTotals struct {
 	Reranked         int64 `json:"reranked"`
 	EarlyStops       int64 `json:"earlyStops"`
 	QueryErrors      int64 `json:"queryErrors"`
-	// Batches counts batched executions (explicit /batch requests and
-	// /search coalescer flushes); Queries/Batches is the mean batch size.
+	// Batches counts batched executions: /batch requests.
 	Batches int64 `json:"batches"`
 }
 

@@ -29,7 +29,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,11 +70,8 @@ type Handler struct {
 	cReranked      *metrics.Counter
 	cEarlyStops    *metrics.Counter
 	cQueryErrors   *metrics.Counter
-	// cBatches counts batch executions (explicit /batch requests and
-	// coalescer flushes); hBatchSize observes their sizes, so the
-	// histogram shows how well coalescing is packing requests.
-	cBatches   *metrics.Counter
-	hBatchSize *metrics.Histogram
+	// cBatches counts /batch requests executed.
+	cBatches *metrics.Counter
 
 	// Index lifecycle gauges, refreshed on every scrape.
 	gItems        *metrics.Gauge
@@ -114,12 +110,6 @@ type Handler struct {
 	// seriesFor. seriesMu serializes its writers.
 	series   atomic.Pointer[map[seriesKey]requestSeries]
 	seriesMu sync.Mutex
-
-	// coal is the /search request coalescer, nil unless WithCoalescing
-	// enabled it; coalWindow/coalMax carry the option values into New.
-	coal       *coalescer
-	coalWindow time.Duration
-	coalMax    int
 }
 
 // Option configures a Handler.
@@ -137,20 +127,6 @@ func WithRegistry(r *metrics.Registry) Option { return func(h *Handler) { h.reg 
 // deployments opt in explicitly (the -pprof flag of cmd/gqr-server).
 func WithPprof() Option { return func(h *Handler) { h.pprof = true } }
 
-// WithCoalescing enables server-side request coalescing on /search:
-// concurrent requests with identical search parameters are held for up
-// to window and answered by one batched execution (shared projection
-// matmuls, shared ADC arena), at most maxBatch requests per batch
-// (≤ 0 picks 64). Every request's result stays bit-identical to an
-// uncoalesced search, and a request whose context deadline lands
-// inside the window shrinks the window for its batch. Off by default:
-// coalescing adds up to window latency per request, so it is a
-// throughput-over-latency trade the operator opts into (the
-// -batch-window / -batch-max flags of cmd/gqr-server).
-func WithCoalescing(window time.Duration, maxBatch int) Option {
-	return func(h *Handler) { h.coalWindow, h.coalMax = window, maxBatch }
-}
-
 // New wraps an index in an http.Handler.
 func New(ix *gqr.Index, opts ...Option) *Handler {
 	h := &Handler{ix: ix, dim: ix.Stats().Dim, mux: http.NewServeMux(), start: time.Now()}
@@ -166,9 +142,6 @@ func New(ix *gqr.Index, opts ...Option) *Handler {
 	h.series.Store(&map[seriesKey]requestSeries{})
 	h.initMetrics()
 	h.initTracing()
-	if h.coalWindow > 0 {
-		h.coal = newCoalescer(h, h.coalWindow, h.coalMax)
-	}
 	// Merge durations arrive by callback — merges run on a background
 	// goroutine, so no scrape-time poll can time them.
 	ix.SetCompactionObserver(func(ci gqr.CompactionInfo) {
@@ -296,6 +269,32 @@ type UpdateResponse struct {
 	ID int `json:"id"`
 }
 
+// searchOptions renders the search parameters /search and /batch share
+// as the options of one search call. includeStats turns on WithProfile:
+// the echoed stats carry the retrieval/evaluation time split.
+func searchOptions(maxCand, maxBuckets int, radius float64, earlyStop bool, tagMask uint64, includeStats bool) []gqr.SearchOption {
+	var opts []gqr.SearchOption
+	if maxCand > 0 {
+		opts = append(opts, gqr.WithMaxCandidates(maxCand))
+	}
+	if maxBuckets > 0 {
+		opts = append(opts, gqr.WithMaxBuckets(maxBuckets))
+	}
+	if radius > 0 {
+		opts = append(opts, gqr.WithRadius(radius))
+	}
+	if earlyStop {
+		opts = append(opts, gqr.WithEarlyStop())
+	}
+	if tagMask != 0 {
+		opts = append(opts, gqr.WithTagMask(tagMask))
+	}
+	if includeStats {
+		opts = append(opts, gqr.WithProfile())
+	}
+	return opts
+}
+
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		h.httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -311,41 +310,18 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		h.httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	key := batchKey{
-		k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
-		radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
-		stats: req.IncludeStats,
-	}
-	var res coalesceResult
-	if h.coal != nil && len(req.Query) == h.dim && req.K > 0 {
-		// Coalescing path: well-formed queries ride a shared batch
-		// (results are bit-identical to a direct search). Malformed ones
-		// take the direct path, whose validation produces the right error
-		// without poisoning a batch's flat block.
-		res = h.coal.submit(r.Context(), key, req.Query)
-	} else {
-		res.nbrs, res.st, res.err = h.ix.SearchWithStats(req.Query, req.K, key.opts()...)
-	}
-	switch {
-	case errors.Is(res.err, context.Canceled):
-		// The client hung up while its batch was pending: nobody is
-		// left to read a response.
-		return
-	case errors.Is(res.err, context.DeadlineExceeded):
-		// The request was fine; the server ran out of its time.
-		h.httpError(w, http.StatusServiceUnavailable, "%v", res.err)
-		return
-	case res.err != nil:
-		h.httpError(w, http.StatusBadRequest, "%v", res.err)
+	nbrs, st, err := h.ix.SearchWithStats(req.Query, req.K, searchOptions(req.MaxCandidates, req.MaxBuckets, req.Radius, req.EarlyStop, req.TagMask, req.IncludeStats)...)
+	if err != nil {
+		h.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	h.recordSearchWork(w, res.st, 1)
+	h.recordSearchWork(w, st, 1)
 	// What json.Encoder writes for a SearchResponse.
 	out := append(buf.b[:0], `{"neighbors":`...)
-	out, err := appendNeighbors(out, res.nbrs)
+	out, err = appendNeighbors(out, nbrs)
 	if err == nil && req.IncludeStats {
 		out = append(out, `,"stats":`...)
-		out, err = appendJSON(out, res.st)
+		out, err = appendJSON(out, st)
 	}
 	buf.b = append(out, "}\n"...)
 	h.writeBody(w, buf.b, err)
@@ -392,12 +368,7 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	key := batchKey{
-		k: req.K, maxCand: req.MaxCandidates, maxBuckets: req.MaxBuckets,
-		radius: req.Radius, earlyStop: req.EarlyStop, tagMask: req.TagMask,
-		stats: req.IncludeStats,
-	}
-	results, err := h.ix.SearchBatchWithStats(flat, req.K, key.opts()...)
+	results, err := h.ix.SearchBatchWithStats(flat, req.K, searchOptions(req.MaxCandidates, req.MaxBuckets, req.Radius, req.EarlyStop, req.TagMask, req.IncludeStats)...)
 	if err != nil {
 		// Structural failure (bad k, bad block): the whole batch is
 		// invalid, not any single query.
@@ -425,7 +396,6 @@ func (h *Handler) batch(w http.ResponseWriter, r *http.Request) {
 		agg.Answered++
 	}
 	h.cBatches.Inc()
-	h.hBatchSize.Observe(float64(wellFormed))
 	h.recordSearchWork(w, agg.Stats, agg.Answered)
 	h.cQueryErrors.Add(int64(agg.Failed))
 

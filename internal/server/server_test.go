@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gqr"
 	"gqr/internal/dataset"
@@ -499,4 +500,99 @@ func TestStatszReportsLifecycle(t *testing.T) {
 			t.Fatalf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestBatchEndpointAggregateStats checks the /batch Batch summary:
+// answered/failed counts, summed work counters, and slowest-query
+// attribution when stats are requested.
+func TestBatchEndpointAggregateStats(t *testing.T) {
+	srv, ds := testServer(t)
+	req := BatchRequest{K: 3, IncludeStats: true}
+	for qi := 0; qi < ds.NQ(); qi++ {
+		req.Queries = append(req.Queries, ds.Query(qi))
+	}
+	req.Queries = append(req.Queries, ds.Query(0)[:4]) // one ragged query
+	var out BatchResponse
+	if resp := post(t, srv.URL+"/batch", req, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Batch == nil {
+		t.Fatal("no batch summary in response")
+	}
+	if out.Batch.Answered != ds.NQ() || out.Batch.Failed != 1 {
+		t.Fatalf("answered=%d failed=%d, want %d/1", out.Batch.Answered, out.Batch.Failed, ds.NQ())
+	}
+	var sumCand int
+	for _, entry := range out.Results[:ds.NQ()] {
+		if entry.Stats == nil {
+			t.Fatal("missing per-query stats despite includeStats")
+		}
+		sumCand += entry.Stats.Candidates
+	}
+	if out.Batch.Stats.Candidates != sumCand {
+		t.Fatalf("summed candidates %d != aggregate %d", sumCand, out.Batch.Stats.Candidates)
+	}
+	if out.Batch.SlowestQuery < 0 || out.Batch.SlowestQuery >= ds.NQ() {
+		t.Fatalf("slowest query index %d out of range", out.Batch.SlowestQuery)
+	}
+	// Without includeStats the summary still counts, but cannot name a
+	// slowest query.
+	req.IncludeStats = false
+	var plain BatchResponse
+	if resp := post(t, srv.URL+"/batch", req, &plain); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if plain.Batch == nil || plain.Batch.SlowestQuery != -1 {
+		t.Fatalf("plain batch summary = %+v, want SlowestQuery=-1", plain.Batch)
+	}
+}
+
+// gateWriter blocks every Write until released, reporting the first.
+type gateWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return len(p), nil
+}
+
+// TestSearchPathsNeverTakeWriterLock holds the index's writer lock (a
+// Save into a writer that does not drain — the position an Add's WAL
+// fsync puts it in) and requires /batch and /search to answer anyway.
+// Searches are lock-free on a published snapshot; what used to queue
+// them here was asking Index.Stats, which takes that lock, for the
+// immutable dimension on every request.
+func TestSearchPathsNeverTakeWriterLock(t *testing.T) {
+	srv, ds := testServer(t)
+	ix := srv.Config.Handler.(*Handler).ix
+	gw := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- ix.Save(gw) }()
+	<-gw.entered // the writer lock is held from here until release
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var br BatchResponse
+		if resp := post(t, srv.URL+"/batch", BatchRequest{Queries: [][]float32{ds.Query(0), ds.Query(1)}, K: 3}, &br); resp.StatusCode != http.StatusOK {
+			t.Errorf("/batch status %d", resp.StatusCode)
+		}
+		var sr SearchResponse
+		if resp := post(t, srv.URL+"/search", SearchRequest{Query: ds.Query(0), K: 3}, &sr); resp.StatusCode != http.StatusOK || len(sr.Neighbors) != 3 {
+			t.Errorf("/search status %d, %d neighbors", resp.StatusCode, len(sr.Neighbors))
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("a search request queued behind the writer lock")
+	}
+	close(gw.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	<-done
 }

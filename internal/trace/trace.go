@@ -42,7 +42,11 @@ const (
 	StageFinalize                // heap finalize (sort, sqrt, radius cut)
 	StageShard                   // one shard's whole leg of a sharded fan-out
 	StageCompact                 // one background segment merge (compaction traces only)
-	StageBatch                   // one batch's shared preprocessing (batch traces only)
+	// StageBatch is recorded by nothing: a batch runs each query as its
+	// own record, with no shared preprocessing to attribute. It stays so
+	// that readers indexing StageDur by it (and the "batch" stage label
+	// of existing dashboards) keep working, and reads zero.
+	StageBatch
 )
 
 // NumStages is the number of distinct stages.

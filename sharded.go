@@ -266,9 +266,8 @@ func (m *shardMerge) result(k, shards int) ([]Neighbor, SearchStats) {
 }
 
 // SearchBatch fans a whole query batch out to every shard and merges
-// per query: each shard runs its own batched engine (amortized
-// projections, shared ADC arena, cache-blocked execution) over the full
-// block concurrently with the other shards. The first per-query error,
+// per query: each shard runs its own batch fan-out over the full block
+// concurrently with the other shards. The first per-query error,
 // if any, fails the call; shard-level failures fail it too.
 func (s *ShardedIndex) SearchBatch(queries []float32, k int, opts ...SearchOption) ([][]Neighbor, error) {
 	return batchNeighbors(s.SearchBatchWithStats(queries, k, opts...))

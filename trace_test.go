@@ -237,9 +237,9 @@ func TestTraceSpanGrammar(t *testing.T) {
 }
 
 // TestTraceBatchAndChromeExport checks that batch searches trace each
-// query individually — plus one "batch" record for the shared
-// preprocessing (the StageBatch lane) — and the captured set exports as
-// Chrome JSON.
+// query individually — one record per batch query and no "batch"
+// record, since a batch has no shared work of its own — and the
+// captured set exports as Chrome JSON.
 func TestTraceBatchAndChromeExport(t *testing.T) {
 	ds := demoData(t)
 	ix, err := Build(ds.Vectors, ds.Dim, WithSeed(32), WithTracing(1), WithTraceBuffer(128))
@@ -260,24 +260,13 @@ func TestTraceBatchAndChromeExport(t *testing.T) {
 		}
 	}
 	rec := ix.TraceRecorder()
-	if got := rec.Stats().Captured; got != uint64(ds.NQ())+1 {
-		t.Fatalf("captured %d traces, want one per batch query plus the batch record (%d)", got, ds.NQ()+1)
+	if got := rec.Stats().Captured; got != uint64(ds.NQ()) {
+		t.Fatalf("captured %d traces, want one per batch query (%d)", got, ds.NQ())
 	}
-	var batchRecs int
 	for _, tr := range rec.Traces() {
-		if tr.Method != "batch" {
-			continue
+		if tr.Method == "batch" || tr.StageCount[trace.StageBatch] != 0 {
+			t.Fatalf("captured a batch record (method %q, %d batch spans)", tr.Method, tr.StageCount[trace.StageBatch])
 		}
-		batchRecs++
-		if tr.StageCount[trace.StageBatch] == 0 {
-			t.Fatal("batch record has no StageBatch span")
-		}
-		if tr.Totals.Candidates != ds.NQ() {
-			t.Fatalf("batch record totals %d queries, want %d", tr.Totals.Candidates, ds.NQ())
-		}
-	}
-	if batchRecs != 1 {
-		t.Fatalf("captured %d batch records, want 1", batchRecs)
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, rec.Traces()...); err != nil {
