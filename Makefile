@@ -15,9 +15,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The distance kernel and the candidate prefetch are assembly on amd64
-# and plain Go elsewhere, and no test on an amd64 host compiles the
-# elsewhere: build the module for arm64 and vet the two packages there
+# The distance and nearest-centroid kernels and the candidate prefetch
+# are assembly on amd64 and plain Go elsewhere, and no test on an amd64
+# host compiles the elsewhere: build the module for arm64 and vet the two
+# packages there
 # (vet on amd64, above, is what checks the assembly against its Go
 # declarations).
 cross:
@@ -72,7 +73,9 @@ batch-stress:
 # allocation from a hostile length field without stalling CI. The third
 # holds the assembly distance kernel to its Go definition bit for bit
 # over fuzzer-chosen components, offsets and bounds; the fourth holds
-# GQR's queue generator to its slice model and the paper's heap form over
+# the blocked nearest-centroid kernel (AVX2 and its Go fallback) to
+# ArgNearest, index and distance bits, over fuzzer-chosen components,
+# widths and centroid counts; the fifth holds GQR's queue generator to its slice model and the paper's heap form over
 # fuzzer-chosen code lengths and costs. The last two are the server's:
 # its request scanner-or-fallback against encoding/json on arbitrary
 # bytes (same acceptance, same error text, same values to the bit, for
@@ -82,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzNearestCentroid -fuzztime=10s -run '^$$' ./internal/vecmath
 	$(GO) test -fuzz=FuzzGQRSequence -fuzztime=10s -run '^$$' ./internal/query
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=10s -run '^$$' ./internal/server
 	$(GO) test -fuzz=FuzzHandlers -fuzztime=10s -run '^$$' ./internal/server

@@ -26,7 +26,10 @@ func KMeans(data []float32, n, dims, k, iters int, rng *rand.Rand) ([]float32, e
 //
 //   - the assignment step (and the seeding distance scans) splits the
 //     points across workers — each point's nearest centroid is an
-//     independent computation, so any partition yields the same answer;
+//     independent computation, so any partition yields the same answer.
+//     It is nearly all of the training time; it runs through
+//     vecmath.NearestCentroid (no per-dimension branch, AVX2 where the
+//     CPU has it), whose answers are vecmath.ArgNearest's bit for bit;
 //   - the update step splits the CENTROIDS across workers: each worker
 //     scans the assignment array in ascending point order and folds only
 //     the points of the centroids it owns, so every per-centroid sum
@@ -92,8 +95,10 @@ func KMeansP(data []float32, n, dims, k, iters int, rng *rand.Rand, procs int) (
 	assign := make([]int, n)
 	counts := make([]int, k)
 	sums := make([]float64, k*dims)
+	var blocked []float32
 	for it := 0; it < iters; it++ {
-		changed := assignPoints(data, n, dims, centroids, k, assign, it == 0, procs)
+		blocked = vecmath.BlockCentroids(blocked, centroids, k, dims)
+		changed := assignPoints(data, n, dims, blocked, k, assign, it == 0, procs)
 		if !changed {
 			break
 		}
@@ -115,17 +120,20 @@ func KMeansP(data []float32, n, dims, k, iters int, rng *rand.Rand, procs int) (
 	return centroids, nil
 }
 
-// assignPoints sets assign[i] to the nearest centroid of every point,
-// splitting the points across up to procs workers, and reports whether
-// any assignment changed (always true when force is set). Each entry is
-// an independent computation, so the result is identical at any
-// parallelism.
-func assignPoints(data []float32, n, dims int, centroids []float32, k int, assign []int, force bool, procs int) bool {
+// assignPoints sets assign[i] to the nearest of the k centroids of every
+// point, splitting the points across up to procs workers, and reports
+// whether any assignment changed (always true when force is set).
+// blocked is the centroids in vecmath's blocked layout, laid out once
+// per Lloyd iteration and shared read-only by the workers;
+// vecmath.NearestCentroid answers exactly as ArgNearest on the row-major
+// centroids would. Each entry is an independent computation, so the
+// result is identical at any parallelism.
+func assignPoints(data []float32, n, dims int, blocked []float32, k int, assign []int, force bool, procs int) bool {
 	var changed atomic.Bool
 	vecmath.ParallelRanges(n, procs, func(lo, hi int) {
 		local := false
 		for i := lo; i < hi; i++ {
-			best, _ := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
+			best, _ := vecmath.NearestCentroid(data[i*dims:(i+1)*dims], blocked, k)
 			if assign[i] != best || force {
 				assign[i] = best
 				local = true

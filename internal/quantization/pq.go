@@ -17,11 +17,16 @@ import (
 // contiguous subspaces, each with its own codebook of K centroids
 // trained by k-means. A vector is encoded as M centroid indices.
 type PQ struct {
-	M         int         // number of subspaces
-	K         int         // centroids per subspace
-	Dim       int         // total dimensionality
-	offsets   []int       // M+1 subspace boundaries
-	codebooks [][]float32 // per subspace: K×width row-major centroids
+	M       int   // number of subspaces
+	K       int   // centroids per subspace
+	Dim     int   // total dimensionality
+	offsets []int // M+1 subspace boundaries
+	// codebooks holds, per subspace, its K centroids in vecmath's
+	// blocked layout (groups of four, [dim][4]float32 each), the only
+	// copy kept: encoding reads it through vecmath.NearestCentroid,
+	// everything else through centroid or the per-group loops of
+	// Reranker.fillRow.
+	codebooks [][]float32
 }
 
 // TrainPQ learns a product quantizer from the n×d block.
@@ -53,7 +58,7 @@ func TrainPQ(data []float32, n, d, m, k, iters int, seed int64) (*PQ, error) {
 		if err != nil {
 			return nil, fmt.Errorf("quantization: subspace %d: %w", s, err)
 		}
-		pq.codebooks = append(pq.codebooks, cb)
+		pq.codebooks = append(pq.codebooks, vecmath.BlockCentroids(nil, cb, k, w))
 		off += w
 	}
 	pq.offsets[m] = off
@@ -63,6 +68,20 @@ func TrainPQ(data []float32, n, d, m, k, iters int, seed int64) (*PQ, error) {
 // width returns the dimensionality of subspace s.
 func (pq *PQ) width(s int) int { return pq.offsets[s+1] - pq.offsets[s] }
 
+// centroid copies centroid c of subspace s into dst (length width(s)).
+func (pq *PQ) centroid(s, c int, dst []float32) { vecmath.BlockedCentroid(dst, pq.codebooks[s], c) }
+
+// rowMajor returns subspace s's codebook as K×width row-major centroids,
+// the order Marshal writes.
+func (pq *PQ) rowMajor(s int) []float32 {
+	w := pq.width(s)
+	out := make([]float32, pq.K*w)
+	for c := 0; c < pq.K; c++ {
+		pq.centroid(s, c, out[c*w:(c+1)*w])
+	}
+	return out
+}
+
 // Encode quantizes x to its M centroid indices, appended to dst.
 func (pq *PQ) Encode(x []float32, dst []uint16) []uint16 {
 	if len(x) != pq.Dim {
@@ -71,7 +90,7 @@ func (pq *PQ) Encode(x []float32, dst []uint16) []uint16 {
 	for s := 0; s < pq.M; s++ {
 		w := pq.width(s)
 		xs := x[pq.offsets[s] : pq.offsets[s]+w]
-		best, _ := vecmath.ArgNearest(xs, pq.codebooks[s], pq.K, w)
+		best, _ := vecmath.NearestCentroid(xs, pq.codebooks[s], pq.K)
 		dst = append(dst, uint16(best))
 	}
 	return dst
@@ -84,9 +103,7 @@ func (pq *PQ) Decode(code []uint16, dst []float32) {
 		panic("quantization: Decode shape mismatch")
 	}
 	for s := 0; s < pq.M; s++ {
-		w := pq.width(s)
-		c := int(code[s])
-		copy(dst[pq.offsets[s]:pq.offsets[s]+w], pq.codebooks[s][c*w:(c+1)*w])
+		pq.centroid(s, int(code[s]), dst[pq.offsets[s]:pq.offsets[s+1]])
 	}
 }
 
@@ -102,8 +119,10 @@ func (pq *PQ) ADCTable(q []float32) [][]float64 {
 		w := pq.width(s)
 		qs := q[pq.offsets[s] : pq.offsets[s]+w]
 		row := make([]float64, pq.K)
+		cent := make([]float32, w)
 		for c := 0; c < pq.K; c++ {
-			row[c] = vecmath.SquaredL2(qs, pq.codebooks[s][c*w:(c+1)*w])
+			pq.centroid(s, c, cent)
+			row[c] = vecmath.SquaredL2(qs, cent)
 		}
 		table[s] = row
 	}

@@ -47,7 +47,7 @@ func TestPQEncodePicksNearestCentroids(t *testing.T) {
 		for s := 0; s < pq.M; s++ {
 			w := pq.width(s)
 			xs := x[pq.offsets[s] : pq.offsets[s]+w]
-			best, _ := vecmath.ArgNearest(xs, pq.codebooks[s], pq.K, w)
+			best, _ := vecmath.ArgNearest(xs, pq.rowMajor(s), pq.K, w)
 			if int(code[s]) != best {
 				t.Fatalf("item %d subspace %d: code %d but nearest %d", i, s, code[s], best)
 			}

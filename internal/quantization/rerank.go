@@ -35,7 +35,10 @@ const MaxCentroids = 256
 // TrainPQP is TrainPQ with the k-means inner loop fanned out across
 // procs workers. Subspaces still train sequentially against one shared
 // rng (the draw order is part of the trained parameters), so the result
-// is bit-identical to the serial build at any worker count.
+// is bit-identical to the serial build at any worker count. The time is
+// nearly all k-means assignment, m·iters·n nearest-centroid searches of
+// k centroids through vecmath.NearestCentroid; each codebook is kept
+// only in its blocked layout.
 func TrainPQP(data []float32, n, d, m, k, iters int, seed int64, procs int) (*PQ, error) {
 	if m <= 0 || m > d {
 		return nil, fmt.Errorf("quantization: M=%d out of range [1,%d]", m, d)
@@ -71,7 +74,7 @@ func TrainPQP(data []float32, n, d, m, k, iters int, seed int64, procs int) (*PQ
 		if err != nil {
 			return nil, fmt.Errorf("quantization: subspace %d: %w", s, err)
 		}
-		pq.codebooks = append(pq.codebooks, cb)
+		pq.codebooks = append(pq.codebooks, vecmath.BlockCentroids(nil, cb, k, w))
 		off += w
 	}
 	pq.offsets[m] = off
@@ -230,7 +233,7 @@ func (rr *Reranker) EncodeTo(x []float32, dst []uint8, rot []float32) {
 	for s := 0; s < pq.M; s++ {
 		w := pq.width(s)
 		xs := x[pq.offsets[s] : pq.offsets[s]+w]
-		best, _ := vecmath.ArgNearest(xs, pq.codebooks[s], pq.K, w)
+		best, _ := vecmath.NearestCentroid(xs, pq.codebooks[s], pq.K)
 		dst[s] = uint8(best)
 	}
 }
@@ -309,39 +312,51 @@ func (rr *Reranker) ADCRows(q []float32, rows [][256]float32, rot []float32) [][
 // rotated) query into row. Fused per-width loops: a call into the
 // generic distance kernel per centroid costs more than the distance
 // itself at these subvector widths (2–8 floats), so the hot widths
-// compute in registers, float32 throughout.
+// compute in registers, float32 throughout. They walk the blocked
+// codebook a group of four centroids at a time, four independent sums,
+// each summed in the same order as one centroid alone (j ascending;
+// pairs first at width 4); a padding lane's NaN is never stored.
 func (rr *Reranker) fillRow(s int, q []float32, row []float32) {
 	pq := rr.pq
 	w := pq.width(s)
 	qs := q[pq.offsets[s] : pq.offsets[s]+w]
 	cb := pq.codebooks[s]
-	switch w {
-	case 2:
-		q0, q1 := qs[0], qs[1]
-		for c := range row {
-			d0 := q0 - cb[2*c]
-			d1 := q1 - cb[2*c+1]
-			row[c] = d0*d0 + d1*d1
-		}
-	case 4:
-		q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
-		for c := range row {
-			d0 := q0 - cb[4*c]
-			d1 := q1 - cb[4*c+1]
-			d2 := q2 - cb[4*c+2]
-			d3 := q3 - cb[4*c+3]
-			row[c] = (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-		}
-	default:
-		for c := range row {
-			cent := cb[c*w : (c+1)*w]
-			var d float32
-			for j, x := range qs {
-				dd := x - cent[j]
-				d += dd * dd
+	var v [4]float32
+	for c := 0; c < len(row); c += 4 {
+		blk := cb[c*w : (c+4)*w]
+		switch w {
+		case 2:
+			q0, q1 := qs[0], qs[1]
+			for l := range v {
+				d0 := q0 - blk[l]
+				d1 := q1 - blk[4+l]
+				v[l] = d0*d0 + d1*d1
 			}
-			row[c] = d
+		case 4:
+			q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
+			for l := range v {
+				d0 := q0 - blk[l]
+				d1 := q1 - blk[4+l]
+				d2 := q2 - blk[8+l]
+				d3 := q3 - blk[12+l]
+				v[l] = (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
+			}
+		default:
+			var a0, a1, a2, a3 float32
+			for j, x := range qs {
+				e := blk[4*j : 4*j+4 : 4*j+4]
+				d0 := x - e[0]
+				d1 := x - e[1]
+				d2 := x - e[2]
+				d3 := x - e[3]
+				a0 += d0 * d0
+				a1 += d1 * d1
+				a2 += d2 * d2
+				a3 += d3 * d3
+			}
+			v = [4]float32{a0, a1, a2, a3}
 		}
+		copy(row[c:], v[:])
 	}
 }
 
@@ -365,9 +380,7 @@ func (rr *Reranker) Decode(code []uint8, dst []float32) {
 		panic("quantization: Decode shape mismatch")
 	}
 	for s := 0; s < pq.M; s++ {
-		w := pq.width(s)
-		c := int(code[s])
-		copy(dst[pq.offsets[s]:pq.offsets[s]+w], pq.codebooks[s][c*w:(c+1)*w])
+		pq.centroid(s, int(code[s]), dst[pq.offsets[s]:pq.offsets[s+1]])
 	}
 }
 
@@ -403,8 +416,8 @@ func (rr *Reranker) Marshal() []byte {
 	} else {
 		buf.WriteByte(0)
 	}
-	for _, cb := range pq.codebooks {
-		for _, v := range cb {
+	for s := range pq.codebooks {
+		for _, v := range pq.rowMajor(s) {
 			writeRU32(&buf, math.Float32bits(v))
 		}
 	}
@@ -465,7 +478,7 @@ func UnmarshalReranker(data []byte) (*Reranker, error) {
 			}
 			cb[i] = math.Float32frombits(bits)
 		}
-		out.pq.codebooks = append(out.pq.codebooks, cb)
+		out.pq.codebooks = append(out.pq.codebooks, vecmath.BlockCentroids(nil, cb, k, w))
 		off += w
 	}
 	out.pq.offsets[m] = off

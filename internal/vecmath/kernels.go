@@ -143,7 +143,12 @@ func Norm64(a []float64) float64 {
 
 // ArgNearest returns the index of the row of centers (k rows of dimension
 // d, row-major) nearest to x in squared Euclidean distance, along with
-// that distance. It is the inner loop of k-means and of PQ encoding.
+// that distance; a tie goes to the lowest index. It abandons a centroid
+// once its partial sum reaches the best so far. It is the definition
+// NearestCentroid (k-means assignment and PQ encoding over a blocked
+// codebook) is tested against, and what callers holding row-major
+// centroids use. The float64(…) around the square forbids fusing it into
+// the addition, so the bits are the same on every GOARCH.
 func ArgNearest(x []float32, centers []float32, k, d int) (best int, bestDist float64) {
 	if len(x) != d || len(centers) != k*d {
 		panic("vecmath: ArgNearest shape mismatch")
@@ -154,7 +159,7 @@ func ArgNearest(x []float32, centers []float32, k, d int) (best int, bestDist fl
 		var s float64
 		for j, v := range row {
 			diff := float64(x[j]) - float64(v)
-			s += diff * diff
+			s += float64(diff * diff)
 			if s >= bestDist {
 				break
 			}

@@ -22,8 +22,27 @@ func squaredL2Bounded(a, b []float32, bound float64) float64 {
 	return squaredL2BoundedGo(a, b, bound)
 }
 
-// Kernel names the implementation behind SquaredL2 and SquaredL2Bounded
-// in this process: "avx2", or "go" on a CPU or OS without AVX2.
+// nearestScanAVX2 is nearestScanGo in assembly (l2_amd64.s): a group of
+// four centroids has its four sums in one 256-bit register, each
+// dimension of x is broadcast to all four lanes, and VSUBPD, VMULPD and
+// VADDPD round separately as in squaredL2BoundedAVX2; VCMPPD (ordered
+// less-than, false on NaN) and VBLENDVPD keep the lane minima, group by
+// group in order. Same preconditions as nearestScanGo.
+//
+//go:noescape
+func nearestScanAVX2(x, blocked []float32, m *laneMin)
+
+func nearestScan(x, blocked []float32, m *laneMin) {
+	if useAVX2 {
+		nearestScanAVX2(x, blocked, m)
+		return
+	}
+	nearestScanGo(x, blocked, m)
+}
+
+// Kernel names the implementation behind SquaredL2, SquaredL2Bounded and
+// NearestCentroid in this process: "avx2", or "go" on a CPU or OS
+// without AVX2.
 func Kernel() string {
 	if useAVX2 {
 		return "avx2"

@@ -80,6 +80,102 @@ done:
 	MOVSD X6, ret+56(FP)
 	RET
 
+// func nearestScanAVX2(x, blocked []float32, m *laneMin)
+//
+// Y0 holds the lanes' minimum distances and Y1 their groups (m.dist and
+// m.group, loaded and stored back); Y4 is the current group number in
+// every lane and Y5 the increment 1. A group's four sums run over the
+// dimensions of x in order: x[j] broadcast and widened, minus the four
+// widened centroid coordinates, squared, added. Two groups go per step
+// (sums in Y2 and Y8, the second group R13 bytes on), sharing the
+// broadcast of x[j]; their minimum updates still go in group order, and
+// a last odd group goes alone. The caller guarantees len(x) ≥ 1 and
+// len(blocked) a multiple of 4·len(x).
+//
+// UPDATE replaces each lane's minimum and group by sum and the current
+// group where sum < minimum (VCMPPD LT_OQ: false when either is NaN),
+// then moves to the next group.
+#define UPDATE(sum) \
+	VCMPPD    $0x11, Y0, sum, Y7 \
+	VBLENDVPD Y7, sum, Y0, Y0    \
+	VBLENDVPD Y7, Y4, Y1, Y1     \
+	VPADDQ    Y5, Y4, Y4
+
+TEXT ·nearestScanAVX2(SB), NOSPLIT, $0-56
+	MOVQ    x_base+0(FP), SI
+	MOVQ    x_len+8(FP), CX
+	MOVQ    blocked_base+24(FP), DI
+	MOVQ    blocked_len+32(FP), BX
+	LEAQ    (DI)(BX*4), BX // end of the codebook
+	MOVQ    CX, R13
+	SHLQ    $4, R13        // bytes per group: 4 centroids × len(x) × 4
+	LEAQ    (R13)(R13*1), R14
+	MOVQ    m+48(FP), R8
+	VMOVUPD 0(R8), Y0
+	VMOVDQU 32(R8), Y1
+	VPXOR   Y4, Y4, Y4
+	MOVQ    $1, AX
+	VMOVQ   AX, X5
+	VPBROADCASTQ X5, Y5
+
+pair:
+	MOVQ   BX, AX
+	SUBQ   DI, AX
+	CMPQ   AX, R14
+	JLT    single
+	MOVQ   SI, R10
+	MOVQ   CX, R11
+	VXORPD Y2, Y2, Y2
+	VXORPD Y8, Y8, Y8
+
+pairdim:
+	VBROADCASTSS (R10), X3
+	VCVTPS2PD    X3, Y3
+	VCVTPS2PD    (DI), Y6
+	VCVTPS2PD    (DI)(R13*1), Y9
+	VSUBPD       Y6, Y3, Y6
+	VSUBPD       Y9, Y3, Y9
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y9, Y9, Y9
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y9, Y8, Y8
+	ADDQ         $4, R10
+	ADDQ         $16, DI
+	DECQ         R11
+	JNZ          pairdim
+
+	ADDQ R13, DI // past the second group
+	UPDATE(Y2)
+	UPDATE(Y8)
+	JMP  pair
+
+single:
+	CMPQ   DI, BX
+	JAE    stored
+	MOVQ   SI, R10
+	MOVQ   CX, R11
+	VXORPD Y2, Y2, Y2
+
+dim:
+	VBROADCASTSS (R10), X3
+	VCVTPS2PD    X3, Y3
+	VCVTPS2PD    (DI), Y6
+	VSUBPD       Y6, Y3, Y6
+	VMULPD       Y6, Y6, Y6
+	VADDPD       Y6, Y2, Y2
+	ADDQ         $4, R10
+	ADDQ         $16, DI
+	DECQ         R11
+	JNZ          dim
+
+	UPDATE(Y2)
+
+stored:
+	VMOVUPD Y0, 0(R8)
+	VMOVDQU Y1, 32(R8)
+	VZEROUPPER
+	RET
+
 // func hasAVX2() bool
 //
 // AVX2 is usable when the CPU reports it (leaf 7 EBX bit 5), reports AVX

