@@ -59,12 +59,12 @@ lifecycle:
 	$(GO) test -race -run 'Lifecycle' .
 
 # Batch gate under the race detector: the batch-vs-sequential oracle
-# (every querying method × rerank/tombstones/filter/tagmask/sharded/
-# duplicates must return bit-identical neighbors AND work counters) and
+# (every querying method × rerank/tombstones/filter/tagmask/duplicates
+# must return bit-identical neighbors AND work counters) and
 # the concurrent Add/Delete/seal stress of the batch fan-out's one
 # snapshot per batch and its pooled searchers (DESIGN.md §8h).
 batch-stress:
-	$(GO) test -race -run 'TestBatch|TestShardedBatch' .
+	$(GO) test -race -run 'TestBatch' .
 
 # Short fuzz runs over the two untrusted-input parsers: the index
 # loader (GQRPUB1/GQRIDX3 streams, seeded with tombstone bitmaps and

@@ -28,12 +28,7 @@ type BatchQueryResult struct {
 // Search calls. The first per-query error, if any, fails the call; use
 // SearchBatchWithStats to get per-query errors and work stats instead.
 func (ix *Index) SearchBatch(queries []float32, k int, opts ...SearchOption) ([][]Neighbor, error) {
-	return batchNeighbors(ix.SearchBatchWithStats(queries, k, opts...))
-}
-
-// batchNeighbors reduces per-query batch outcomes to neighbor lists,
-// failing on the first per-query error.
-func batchNeighbors(results []BatchQueryResult, err error) ([][]Neighbor, error) {
+	results, err := ix.SearchBatchWithStats(queries, k, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -47,38 +42,25 @@ func batchNeighbors(results []BatchQueryResult, err error) ([][]Neighbor, error)
 	return out, nil
 }
 
-// checkBatch rejects the structural problems that invalidate a whole
-// batch: a block that is not a whole number of queries, a bad k.
-func checkBatch(blockLen, dim, k int) error {
-	if dim <= 0 || blockLen%dim != 0 {
-		return fmt.Errorf("gqr: query block length %d not a multiple of dim %d", blockLen, dim)
-	}
-	if k <= 0 {
-		return fmt.Errorf("gqr: K must be positive, got %d", k)
-	}
-	return nil
-}
-
 // SearchBatchWithStats is SearchBatch with per-query outcomes: each
 // entry carries the query's neighbors, its §2.2 work stats, and an Err
 // set only for that query's failure. The call-level error is reserved
 // for structural problems that invalidate the whole batch (bad block
 // length, non-positive k).
+//
+// The batch takes one snapshot, and min(GOMAXPROCS, nq) workers each
+// check out one pooled searcher and claim query indexes from a shared
+// counter. Each query gets its own flight record, without a snapshot
+// span: the batch captured one snapshot for all.
 func (ix *Index) SearchBatchWithStats(queries []float32, k int, opts ...SearchOption) ([]BatchQueryResult, error) {
-	return ix.searchBatch(queries, k, configOf(opts))
-}
-
-// searchBatch is SearchBatchWithStats over parsed options (a sharded
-// fan-out hands each shard its own config): one snapshot for the whole
-// batch, and min(GOMAXPROCS, nq) workers that each check out one pooled
-// searcher and claim query indexes from a shared counter. Each query
-// gets its own flight record, without a snapshot span: the batch
-// captured one snapshot for all.
-func (ix *Index) searchBatch(queries []float32, k int, sc searchConfig) ([]BatchQueryResult, error) {
 	dim := ix.live.Dim // immutable after Build
-	if err := checkBatch(len(queries), dim, k); err != nil {
-		return nil, err
+	if dim <= 0 || len(queries)%dim != 0 {
+		return nil, fmt.Errorf("gqr: query block length %d not a multiple of dim %d", len(queries), dim)
 	}
+	if k <= 0 {
+		return nil, fmt.Errorf("gqr: K must be positive, got %d", k)
+	}
+	sc := configOf(opts)
 	snap, err := ix.currentSnapshot()
 	if err != nil {
 		return nil, err

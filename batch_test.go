@@ -158,42 +158,6 @@ func TestBatchDuplicateQueries(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesSequential checks the sharded fan-out's batch
-// path against its own single-query path: identical neighbors (global
-// ids, merged ascending) and identical summed work counters per query.
-func TestShardedBatchMatchesSequential(t *testing.T) {
-	ds := demoData(t)
-	flat := flatQueries(ds)
-	const k, shards = 8, 3
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, shards, WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []SearchOption{WithMaxCandidates(100), WithFilter(func(id int, _ uint64) bool { return id%5 != 0 })}
-	results, err := sharded.SearchBatchWithStats(flat, k, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", qi, r.Err)
-		}
-		want, wantSt, err := sharded.SearchWithStats(ds.Query(qi), k, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r.Neighbors, want) {
-			t.Fatalf("query %d: batch neighbors %v != sequential %v", qi, r.Neighbors, want)
-		}
-		// Slowest-shard attribution is wall-clock and differs run to
-		// run; the work counters must match exactly.
-		r.Stats.SlowestShard, r.Stats.SlowestShardTime = wantSt.SlowestShard, wantSt.SlowestShardTime
-		if r.Stats != wantSt {
-			t.Fatalf("query %d: batch stats %+v != sequential %+v", qi, r.Stats, wantSt)
-		}
-	}
-}
-
 // TestBatchSearchAllocs is the batch path's allocation gate, the batch
 // counterpart of TestPublicSearchAllocs: a warmed batch allocates its
 // result slices and per-batch bookkeeping but no per-query searcher

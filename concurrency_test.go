@@ -1,8 +1,6 @@
 package gqr
 
 import (
-	"errors"
-	"strings"
 	"sync"
 	"testing"
 
@@ -109,65 +107,6 @@ func TestConcurrentAddSearchBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestConcurrentShardedSearch fans concurrent queries and Stats over a
-// sharded index while shard 0 absorbs Adds.
-func TestConcurrentShardedSearch(t *testing.T) {
-	ds := concurrencyData(t)
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, 3, WithSeed(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < 4; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				if _, err := sharded.Search(ds.Query((s+i)%ds.NQ()), 5, WithMaxCandidates(100)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			_ = sharded.Stats()
-		}
-	}()
-	wg.Wait()
-}
-
-// TestShardedSearchErrorsJoined verifies that a fan-out failure reports
-// every failing shard, not just the first one observed.
-func TestShardedSearchErrorsJoined(t *testing.T) {
-	ds := concurrencyData(t)
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, 3, WithSeed(103))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// k <= 0 fails inside every shard's searcher.
-	_, _, err = sharded.SearchWithStats(ds.Query(0), 0)
-	if err == nil {
-		t.Fatal("k=0 must fail")
-	}
-	for _, want := range []string{"shard 0", "shard 1", "shard 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %s", err, want)
-		}
-	}
-	// errors.Join wrapping: the joined error must unwrap to multiple.
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) {
-		t.Fatalf("error %T is not a joined error", err)
-	}
-	if got := len(joined.Unwrap()); got != 3 {
-		t.Fatalf("joined %d errors, want 3", got)
 	}
 }
 

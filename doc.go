@@ -39,12 +39,12 @@
 //	nbrs, _ := ix.Search(q, 10, gqr.WithMaxCandidates(2000))
 //
 // Every entry point — Search, SearchBatch (Search fanned out across
-// GOMAXPROCS workers over one snapshot), a ShardedIndex fan-out, the
-// HTTP server — answers each query through one internal function over
-// one pipeline: the query's projected vector (its code and per-bit flipping
-// costs) starts a probe sequence per table, and the probed buckets flow
-// through gather, scoring and finalize stages that are also the stages
-// of the query's flight record (see DESIGN.md).
+// GOMAXPROCS workers over one snapshot), the HTTP server — answers each
+// query through one internal function over one pipeline: the query's
+// projected vector (its code and per-bit flipping costs) starts a probe
+// sequence per table, and the probed buckets flow through gather,
+// scoring and finalize stages that are also the stages of the query's
+// flight record (see DESIGN.md).
 //
 // The internal packages contain the substrates: hash (learners), query
 // (HR/GHR/QR/GQR/MIH probing and the search pipeline), index (hash

@@ -93,17 +93,3 @@ func ExampleIndex_SaveFile() {
 	fmt.Println("same top hit after reload:", a[0].ID == b[0].ID)
 	// Output: same top hit after reload: true
 }
-
-func ExampleBuildSharded() {
-	vecs, dim := exampleVectors()
-	sharded, err := gqr.BuildSharded(vecs, dim, 4, gqr.WithSeed(6))
-	if err != nil {
-		panic(err)
-	}
-	nbrs, err := sharded.Search(vecs[:dim], 3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(sharded.Shards(), "shards; top hit:", nbrs[0].ID)
-	// Output: 4 shards; top hit: 0
-}

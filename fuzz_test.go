@@ -95,9 +95,9 @@ func FuzzLoad(f *testing.F) {
 // FuzzLoad for the two places a vector enters the index at run time: a
 // query and an added (or updated) vector. One NaN or ±Inf component
 // poisons every heap comparison it takes part in, so both stop at the
-// door — a search fails alone (per query inside a batch, across every
-// shard of a fan-out), and a write fails before the WAL sees it, for
-// both metrics (normalization turns ±Inf into NaN, never into a number).
+// door — a search fails alone (per query inside a batch), and a write
+// fails before the WAL sees it, for both metrics (normalization turns
+// ±Inf into NaN, never into a number).
 func TestNonFiniteVectorsRejected(t *testing.T) {
 	const dim, n = 6, 120
 	vecs := durVecs(n, dim, 71)
@@ -116,18 +116,11 @@ func TestNonFiniteVectorsRejected(t *testing.T) {
 		if err := ix.EnableDurability(t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := BuildSharded(vecs, dim, 2, WithSeed(72), WithMetric(metric))
-		if err != nil {
-			t.Fatal(err)
-		}
 		before := ix.Stats()
 		for name, v := range hostile {
 			bad := poisoned(dim-1, v)
 			if _, err := ix.Search(bad, 3); err == nil {
 				t.Errorf("%s/%s: Search accepted a non-finite query", metric, name)
-			}
-			if _, err := sharded.Search(bad, 3); err == nil {
-				t.Errorf("%s/%s: sharded Search accepted a non-finite query", metric, name)
 			}
 			// Inside a batch only the poisoned member fails.
 			block := append(append(append([]float32{}, vecs[:dim]...), bad...), vecs[dim:2*dim]...)

@@ -40,9 +40,7 @@ type Neighbor struct {
 // distance was computed — the paper's "# retrieved items", Figure 8).
 // RetrievalTime and EvaluationTime split the query between deciding
 // which buckets to probe and computing exact distances; they are only
-// populated when WithProfile is set. For a ShardedIndex the counters
-// are sums over shards and EarlyStopped reports whether any shard's
-// QD lower-bound rule fired.
+// populated when WithProfile is set.
 type SearchStats struct {
 	BucketsGenerated int `json:"bucketsGenerated"`
 	BucketsProbed    int `json:"bucketsProbed"`
@@ -68,22 +66,11 @@ type SearchStats struct {
 	EarlyStopped   bool          `json:"earlyStopped"`
 	RetrievalTime  time.Duration `json:"retrievalTime"`
 	EvaluationTime time.Duration `json:"evaluationTime"`
-	// ShardCount, SlowestShard and SlowestShardTime attribute sharded
-	// fan-out latency: on a ShardedIndex query they report how many
-	// shards answered, which shard's leg took longest, and that leg's
-	// wall time (the fan-out's critical path). All zero on a
-	// single-index search; see ShardedIndex.SearchWithShardStats for
-	// the full per-shard breakdown.
-	ShardCount       int           `json:"shardCount,omitempty"`
-	SlowestShard     int           `json:"slowestShard,omitempty"`
-	SlowestShardTime time.Duration `json:"slowestShardTime,omitempty"`
 }
 
 // Merge accumulates another search's work counters into s: counts and
-// stage times add up, EarlyStopped ORs. The shard-attribution fields
-// (ShardCount, SlowestShard*) are left untouched — they describe one
-// fan-out, not a sum. Use it for cumulative accounting over many
-// queries, e.g. totalling a batch's work.
+// stage times add up, EarlyStopped ORs. Use it for cumulative
+// accounting over many queries, e.g. totalling a batch's work.
 func (s *SearchStats) Merge(o SearchStats) {
 	s.BucketsGenerated += o.BucketsGenerated
 	s.BucketsProbed += o.BucketsProbed
@@ -372,9 +359,16 @@ func (ix *Index) Search(q []float32, k int, opts ...SearchOption) ([]Neighbor, e
 // items were evaluated, and whether the early-stop rule fired. Pass
 // WithProfile to also split the time between retrieval and evaluation.
 func (ix *Index) SearchWithStats(q []float32, k int, opts ...SearchOption) ([]Neighbor, SearchStats, error) {
-	sc := configOf(opts)
 	tr := ix.rec.Begin(ix.methodName)
-	nbrs, st, err := ix.searchSnapshot(q, k, sc, tr)
+	snap, err := ix.currentSnapshot()
+	if err != nil {
+		endTrace(ix.rec, tr, err)
+		return nil, SearchStats{}, err
+	}
+	tr.Mark(trace.StageSnapshot, -1)
+	s := snap.searcher()
+	nbrs, st, err := ix.searchOne(snap, s, q, k, configOf(opts), tr)
+	snap.release(s)
 	endTrace(ix.rec, tr, err)
 	return nbrs, st, err
 }
@@ -408,22 +402,8 @@ func totalsOf(k int, sc searchConfig, st SearchStats) trace.Totals {
 	}
 }
 
-// searchSnapshot is the single-query front half shared by
-// SearchWithStats and a sharded fan-out's legs: acquire (possibly
-// republish) the snapshot, check out a searcher, searchOne.
-func (ix *Index) searchSnapshot(q []float32, k int, sc searchConfig, tr *trace.Trace) ([]Neighbor, SearchStats, error) {
-	snap, err := ix.currentSnapshot()
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	tr.Mark(trace.StageSnapshot, -1)
-	s := snap.searcher()
-	defer snap.release(s)
-	return ix.searchOne(snap, s, q, k, sc, tr)
-}
-
-// searchOne is the one query entry point behind Search, SearchBatch and
-// the sharded fan-out: it normalizes q for the metric, runs it through
+// searchOne is the one query entry point behind Search and
+// SearchBatch: it normalizes q for the metric, runs it through
 // searcher s over snap and converts the outcome to the public types.
 // Spans and totals go into tr (nil-safe, so the untraced path pays only
 // nil checks); beginning and ending the record stay with its owner.

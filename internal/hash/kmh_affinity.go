@@ -93,13 +93,15 @@ func refineAffinity(data []float32, n, dims int, centroids []float32, k int, lam
 	// which makes λ·Σ_j w_ij comparable to the quantization term's n_i
 	// at any dataset size.
 	norm := 1 / float64(n)
+	var blocked []float32
 
 	for sweep := 0; sweep < sweeps; sweep++ {
-		// Assignment step (standard nearest-centroid).
+		// Assignment step (standard nearest-centroid, over the blocked
+		// codebook the four-lane kernel reads).
+		blocked = vecmath.BlockCentroids(blocked, centroids, k, dims)
 		vecmath.ParallelRanges(n, procs, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				best, _ := vecmath.ArgNearest(data[i*dims:(i+1)*dims], centroids, k, dims)
-				assign[i] = best
+				assign[i], _ = vecmath.NearestCentroid(data[i*dims:(i+1)*dims], blocked, k)
 			}
 		})
 		cluster.AccumulateByCentroid(data, n, dims, assign, counts, sums, k, procs)

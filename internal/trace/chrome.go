@@ -10,9 +10,8 @@ import (
 // object format chrome://tracing and Perfetto load directly. Each
 // trace becomes one "process" (pid = trace ID) so several captured
 // queries lay out side by side on the shared wall-clock timeline;
-// within a trace, lanes (tids) separate the global pipeline stages,
-// the per-table probe work, and — for sharded traces — each shard's
-// leg.
+// within a trace, lanes (tids) separate the global pipeline stages
+// and the per-table probe work.
 
 // chromeEvent is one trace_event entry. Complete events (ph "X") carry
 // ts+dur in microseconds; metadata events (ph "M") name processes and
@@ -35,31 +34,22 @@ type chromeFile struct {
 
 // Lane numbering inside one trace's process.
 const (
-	laneGlobal = 0    // pipeline-level stages (snapshot, sequence, finalize…)
-	laneTable  = 1    // + table id: per-table probe/gather/evaluate spans
-	laneShard  = 1000 // + shard id: sharded fan-out legs
+	laneGlobal = 0 // pipeline-level stages (snapshot, sequence, finalize…)
+	laneTable  = 1 // + table id: per-table probe/gather/evaluate spans
 )
 
 func spanLane(sp Span) int64 {
-	switch {
-	case sp.Shard >= 0:
-		return laneShard + int64(sp.Shard)
-	case sp.Table >= 0:
+	if sp.Table >= 0 {
 		return laneTable + int64(sp.Table)
-	default:
-		return laneGlobal
 	}
+	return laneGlobal
 }
 
 func laneName(tid int64) string {
-	switch {
-	case tid >= laneShard:
-		return fmt.Sprintf("shard %d", tid-laneShard)
-	case tid >= laneTable:
+	if tid >= laneTable {
 		return fmt.Sprintf("table %d", tid-laneTable)
-	default:
-		return "pipeline"
 	}
+	return "pipeline"
 }
 
 // WriteChrome writes the traces as one Chrome trace_event JSON object.
@@ -93,9 +83,6 @@ func WriteChrome(w io.Writer, traces ...*Trace) error {
 			args := map[string]any{}
 			if sp.Table >= 0 {
 				args["table"] = sp.Table
-			}
-			if sp.Shard >= 0 {
-				args["shard"] = sp.Shard
 			}
 			if sp.Work.Buckets > 0 {
 				args["buckets"] = sp.Work.Buckets

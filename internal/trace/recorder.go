@@ -116,17 +116,8 @@ func (r *Recorder) Begin(method string) *Trace {
 	return tr
 }
 
-// Child returns a trace for one shard's leg of an already-traced
-// fan-out query. Children have ID 0, are never captured directly, and
-// must be returned via Recycle after MergeChild.
-func (r *Recorder) Child(method string) *Trace {
-	tr := r.pool.Get().(*Trace)
-	tr.reset(0, method, r.cfg.MaxSpans, false)
-	return tr
-}
-
-// Recycle returns a non-published trace (a merged child, or a trace
-// abandoned on error) to the pool. Nil-safe.
+// Recycle returns a non-published trace (one abandoned on error) to
+// the pool. Nil-safe.
 func (r *Recorder) Recycle(tr *Trace) {
 	if tr != nil {
 		r.pool.Put(tr)

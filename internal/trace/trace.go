@@ -1,10 +1,10 @@
 // Package trace is the query flight recorder's data model: a
 // per-query Trace recording one span per pipeline-stage occurrence —
 // snapshot acquire, query preprocessing, probe-sequence generation,
-// per-table probing, candidate gather, batched evaluation, heap
-// finalize, and (for sharded fan-out) one span per shard — each span
-// annotated with the work it performed in the paper's §2.2 units
-// (buckets generated/probed, candidates, early-abandons).
+// per-table probing, candidate gather, batched evaluation and heap
+// finalize — each span annotated with the work it performed in the
+// paper's §2.2 units (buckets generated/probed, candidates,
+// early-abandons).
 //
 // The package has no dependencies beyond the standard library and is
 // designed around two cost regimes:
@@ -28,9 +28,7 @@ import (
 // Stage identifies one pipeline stage of the §2.2 querying model.
 type Stage uint8
 
-// The pipeline stages, in execution order. StageShard exists only in
-// sharded-index traces: one span per shard covering that shard's whole
-// fan-out leg, so tail latency is attributable to the slow shard.
+// The pipeline stages, in execution order.
 const (
 	StageSnapshot   Stage = iota // acquire (possibly republish) the read snapshot
 	StagePreprocess              // query preprocessing (metric normalization)
@@ -40,7 +38,6 @@ const (
 	StageRerank                  // ADC table build + quantized candidate scoring
 	StageEvaluate                // batched exact-distance evaluation
 	StageFinalize                // heap finalize (sort, sqrt, radius cut)
-	StageShard                   // one shard's whole leg of a sharded fan-out
 	StageCompact                 // one background segment merge (compaction traces only)
 	// StageBatch is recorded by nothing: a batch runs each query as its
 	// own record, with no shared preprocessing to attribute. It stays so
@@ -54,7 +51,7 @@ const NumStages = int(StageBatch) + 1
 
 var stageNames = [NumStages]string{
 	"snapshot", "preprocess", "sequence", "probe", "gather", "rerank",
-	"evaluate", "finalize", "shard", "compact", "batch",
+	"evaluate", "finalize", "compact", "batch",
 }
 
 // String returns the stage's wire name (used as the metrics label and
@@ -136,9 +133,7 @@ type Span struct {
 	Stage Stage `json:"stage"`
 	// Table is the hash table the span worked on, -1 for stages that
 	// are not table-specific.
-	Table int32 `json:"table"`
-	// Shard is the shard the span ran on, -1 outside sharded fan-out.
-	Shard int32         `json:"shard"`
+	Table int32         `json:"table"`
 	Start time.Duration `json:"startNs"`
 	Dur   time.Duration `json:"durNs"`
 	Work  Work          `json:"work"`
@@ -166,8 +161,7 @@ type Totals struct {
 // disabled path carries no clock reads.
 type Trace struct {
 	// ID is the query's sequence number in its Recorder (unique per
-	// recorder; 0 for shard child traces, which are merged, not
-	// published).
+	// recorder).
 	ID     uint64 `json:"id"`
 	Method string `json:"method"`
 	// Begin is the wall-clock start (it also carries the monotonic
@@ -217,7 +211,7 @@ func (t *Trace) Mark(stage Stage, table int32) {
 		return
 	}
 	now := time.Now()
-	t.record(stage, table, -1, t.cursor, now, Work{})
+	t.record(stage, table, t.cursor, now, Work{})
 	t.cursor = now
 }
 
@@ -228,11 +222,11 @@ func (t *Trace) Record(stage Stage, table int32, start, end time.Time, w Work) {
 	if t == nil {
 		return
 	}
-	t.record(stage, table, -1, start, end, w)
+	t.record(stage, table, start, end, w)
 	t.cursor = end
 }
 
-func (t *Trace) record(stage Stage, table, shard int32, start, end time.Time, w Work) {
+func (t *Trace) record(stage Stage, table int32, start, end time.Time, w Work) {
 	d := end.Sub(start)
 	if d < 0 {
 		d = 0
@@ -245,7 +239,7 @@ func (t *Trace) record(stage Stage, table, shard int32, start, end time.Time, w 
 		return
 	}
 	t.Spans = append(t.Spans, Span{
-		Stage: stage, Table: table, Shard: shard,
+		Stage: stage, Table: table,
 		Start: start.Sub(t.Begin), Dur: d, Work: w,
 	})
 }
@@ -257,55 +251,6 @@ func (t *Trace) SetTotals(tot Totals) {
 		return
 	}
 	t.Totals = tot
-}
-
-// MergeChild absorbs one shard's child trace into a sharded fan-out
-// parent: a StageShard span covering the shard's whole leg (duration
-// total, annotated with the shard's candidate count), plus every child
-// span re-based onto the parent timeline and tagged with the shard id.
-// Child stage aggregates fold into the parent's, so per-stage sums
-// over a sharded trace are CPU time across shards (legs overlap).
-// Nil-safe in both arguments.
-func (t *Trace) MergeChild(c *Trace, shard int32, total time.Duration) {
-	if t == nil || c == nil {
-		return
-	}
-	off := c.Begin.Sub(t.Begin)
-	if off < 0 {
-		off = 0
-	}
-	t.StageDur[StageShard] += total
-	t.StageCount[StageShard]++
-	shardWork := Work{
-		Buckets:    int32(c.Totals.BucketsGenerated),
-		Probed:     int32(c.Totals.BucketsProbed),
-		Candidates: int32(c.Totals.Candidates),
-		Abandoned:  int32(c.Totals.EarlyAbandoned),
-		Filtered:   int32(c.Totals.Filtered),
-		ADCScored:  int32(c.Totals.ADCScored),
-	}
-	t.StageWork[StageShard].add(shardWork)
-	if len(t.Spans) < t.maxSpans {
-		t.Spans = append(t.Spans, Span{
-			Stage: StageShard, Table: -1, Shard: shard,
-			Start: off, Dur: total, Work: shardWork,
-		})
-	} else {
-		t.Dropped++
-	}
-	for _, sp := range c.Spans {
-		t.StageDur[sp.Stage] += sp.Dur
-		t.StageCount[sp.Stage]++
-		t.StageWork[sp.Stage].add(sp.Work)
-		if len(t.Spans) >= t.maxSpans {
-			t.Dropped++
-			continue
-		}
-		sp.Shard = shard
-		sp.Start += off
-		t.Spans = append(t.Spans, sp)
-	}
-	t.Dropped += c.Dropped
 }
 
 // StageSummary is one stage's aggregate in a trace summary.
@@ -362,15 +307,11 @@ func (t *Trace) Detail() Detail {
 	return Detail{Summary: t.Summary(), SpanList: t.Spans}
 }
 
-// StageSum returns the sum of all per-stage durations (excluding
-// StageShard, whose legs overlap in wall time).
+// StageSum returns the sum of all per-stage durations.
 func (t *Trace) StageSum() time.Duration {
 	var sum time.Duration
-	for i := 0; i < NumStages; i++ {
-		if Stage(i) == StageShard {
-			continue
-		}
-		sum += t.StageDur[i]
+	for _, d := range t.StageDur {
+		sum += d
 	}
 	return sum
 }

@@ -54,9 +54,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	tr.Mark(StageSnapshot, -1)
 	tr.Record(StageProbe, 0, time.Now(), time.Now(), Work{})
 	tr.SetTotals(Totals{})
-	tr.MergeChild(nil, 0, 0)
-	var parent Trace
-	parent.MergeChild(nil, 0, 0) // nil child on live parent
 }
 
 func TestRecorderSampling(t *testing.T) {
@@ -179,44 +176,6 @@ func TestObserverSeesEveryTracedQuery(t *testing.T) {
 	}
 }
 
-func TestMergeChildRebasesSpans(t *testing.T) {
-	r := NewRecorder(Config{SampleEvery: 1, Capacity: 4})
-	parent := r.Begin("sharded")
-	child := r.Child("gqr")
-	now := time.Now()
-	child.Record(StageProbe, 1, now, now.Add(time.Microsecond), Work{Buckets: 2, Probed: 1})
-	child.SetTotals(Totals{Candidates: 5, BucketsGenerated: 2, BucketsProbed: 1})
-	parent.MergeChild(child, 3, 2*time.Microsecond)
-	r.Recycle(child)
-
-	if parent.StageCount[StageShard] != 1 || parent.StageDur[StageShard] != 2*time.Microsecond {
-		t.Fatalf("shard stage aggregate: count %d dur %v",
-			parent.StageCount[StageShard], parent.StageDur[StageShard])
-	}
-	if parent.StageWork[StageShard].Candidates != 5 {
-		t.Fatalf("shard work %+v", parent.StageWork[StageShard])
-	}
-	var shardSpan, probeSpan *Span
-	for i := range parent.Spans {
-		switch parent.Spans[i].Stage {
-		case StageShard:
-			shardSpan = &parent.Spans[i]
-		case StageProbe:
-			probeSpan = &parent.Spans[i]
-		}
-	}
-	if shardSpan == nil || shardSpan.Shard != 3 {
-		t.Fatalf("missing shard span: %+v", parent.Spans)
-	}
-	if probeSpan == nil || probeSpan.Shard != 3 || probeSpan.Table != 1 {
-		t.Fatalf("child span not re-tagged: %+v", parent.Spans)
-	}
-	if probeSpan.Start < 0 {
-		t.Fatalf("re-based span start %v", probeSpan.Start)
-	}
-	r.Finish(parent, 3*time.Microsecond)
-}
-
 func TestSummaryAndDetail(t *testing.T) {
 	r := NewRecorder(Config{SampleEvery: 1, Capacity: 4})
 	tr := recordQuery(r, 42*time.Millisecond)
@@ -228,9 +187,6 @@ func TestSummaryAndDetail(t *testing.T) {
 		if _, ok := s.Stages[stage]; !ok {
 			t.Fatalf("summary missing stage %q: %v", stage, s.Stages)
 		}
-	}
-	if _, ok := s.Stages["shard"]; ok {
-		t.Fatal("summary contains unused shard stage")
 	}
 	d := tr.Detail()
 	if len(d.SpanList) != s.Spans || s.Spans == 0 {

@@ -596,66 +596,3 @@ func pickTagged(n, residue int) []int {
 	}
 	return out
 }
-
-// TestLifecycleShardedDeleteAndFilter pins the sharded surface: deletes
-// route to the owning shard by global id, filters see global ids, and
-// fan-out results never contain a deleted item.
-func TestLifecycleShardedDeleteAndFilter(t *testing.T) {
-	const dim, n, shards = 6, 90, 3
-	vecs := gaussBlock(n, dim, 95)
-	s, err := BuildSharded(vecs, dim, shards, WithSeed(96))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One victim per shard: first id of each shard's range.
-	victims := []int{0, 30, 60}
-	for _, id := range victims {
-		if err := s.Delete(id); err != nil {
-			t.Fatalf("Delete(%d): %v", id, err)
-		}
-	}
-	for _, bad := range []int{-1, n + 5} {
-		if err := s.Delete(bad); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("Delete(%d) = %v, want ErrNotFound", bad, err)
-		}
-	}
-	if err := s.Delete(victims[1]); !errors.Is(err, ErrNotFound) {
-		t.Fatal("double sharded delete must return ErrNotFound")
-	}
-	perShard := s.Stats()
-	if len(perShard) != shards {
-		t.Fatalf("%d shard stats", len(perShard))
-	}
-	for i, st := range perShard {
-		if st.Tombstones != 1 {
-			t.Fatalf("shard %d has %d tombstones, want 1", i, st.Tombstones)
-		}
-	}
-	for _, id := range victims {
-		nbrs, err := s.Search(vecs[id*dim:(id+1)*dim], 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, nb := range nbrs {
-			if nb.ID == id {
-				t.Fatalf("deleted id %d returned from fan-out", id)
-			}
-		}
-	}
-	// The filter predicate must observe global ids: restrict results to
-	// the last shard's range and check nothing else leaks through.
-	nbrs, err := s.Search(vecs[:dim], n, WithFilter(func(id int, _ uint64) bool {
-		return id >= 60
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbrs) == 0 {
-		t.Fatal("global-id filter matched nothing")
-	}
-	for _, nb := range nbrs {
-		if nb.ID < 60 {
-			t.Fatalf("filter saw shard-local ids: got id %d", nb.ID)
-		}
-	}
-}

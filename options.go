@@ -234,14 +234,6 @@ func WithTraceBuffer(capacity int) Option {
 	return func(c *config) { c.traceCapacity = capacity }
 }
 
-// withoutTracing disables the flight recorder regardless of earlier
-// options. BuildSharded appends it to per-shard builds: the sharded
-// index owns one recorder at the fan-out level, so shards must not
-// each run their own.
-func withoutTracing() Option {
-	return func(c *config) { c.traceSample, c.slowQuery = 0, 0 }
-}
-
 // WithMemtableSize sets how many Adds accumulate in the mutable
 // memtable before it is sealed into a frozen segment (default 256).
 // Sealing is the only inline compaction work the Add path ever does —
@@ -304,16 +296,6 @@ func configOf(opts []SearchOption) searchConfig {
 	var sc searchConfig
 	for _, o := range opts {
 		o(&sc)
-	}
-	return sc
-}
-
-// forShard returns the config one shard's leg of a fan-out runs under:
-// shards see local ids and a caller's filter global ones, so the filter
-// is wrapped to translate by the shard's id base.
-func (sc searchConfig) forShard(base int) searchConfig {
-	if f := sc.filter; f != nil {
-		sc.filter = func(id int, meta uint64) bool { return f(id+base, meta) }
 	}
 	return sc
 }

@@ -1,18 +1,51 @@
 package gqr
 
 import (
+	"reflect"
 	"testing"
 
 	"gqr/internal/query"
 )
 
-// workOf strips the timing and shard-attribution fields so work
-// counters can be compared exactly (clock reads differ run to run, and
-// shard attribution exists only on the merged fan-out stats).
+// workOf strips the timing fields so work counters can be compared
+// exactly (clock reads differ run to run).
 func workOf(s SearchStats) SearchStats {
 	s.RetrievalTime, s.EvaluationTime = 0, 0
-	s.ShardCount, s.SlowestShard, s.SlowestShardTime = 0, 0, 0
 	return s
+}
+
+// TestSearchStatsMergeCoversEveryField sets every field of two
+// SearchStats by reflection and checks that Merge sums each count and
+// duration and ORs each bool, so a counter added later that Merge
+// forgets fails here rather than vanishing from /batch totals and the
+// server's per-request work accounting.
+func TestSearchStatsMergeCoversEveryField(t *testing.T) {
+	for _, bools := range [][2]bool{{false, true}, {true, false}, {false, false}} {
+		var a, b, want SearchStats
+		va, vb, vw := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem(), reflect.ValueOf(&want).Elem()
+		for i := 0; i < va.NumField(); i++ {
+			f := va.Type().Field(i)
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int64: // counts and time.Duration
+				x, y := int64(i+1), int64(1000*(i+1))
+				va.Field(i).SetInt(x)
+				vb.Field(i).SetInt(y)
+				vw.Field(i).SetInt(x + y)
+			case reflect.Bool:
+				va.Field(i).SetBool(bools[0])
+				vb.Field(i).SetBool(bools[1])
+				vw.Field(i).SetBool(bools[0] || bools[1])
+			default:
+				t.Fatalf("field %s has kind %s: say here how Merge combines it", f.Name, f.Type.Kind())
+			}
+		}
+		a.Merge(b)
+		for i := 0; i < va.NumField(); i++ {
+			if got, w := va.Field(i).Interface(), vw.Field(i).Interface(); got != w {
+				t.Errorf("bools %v: Merge left %s = %v, want %v", bools, va.Type().Field(i).Name, got, w)
+			}
+		}
+	}
 }
 
 // TestSearchWithStatsMatchesInternal verifies, for every querying
@@ -104,41 +137,6 @@ func TestSearchWithStatsEarlyStop(t *testing.T) {
 	}
 	if !stopped {
 		t.Fatal("QD early stop never fired on the demo corpus")
-	}
-}
-
-func TestShardedSearchWithStatsMergesShards(t *testing.T) {
-	ds := demoData(t)
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, 3, WithSeed(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < ds.NQ(); qi++ {
-		q := ds.Query(qi)
-		nbrs, st, err := sharded.SearchWithStats(q, 5, WithMaxCandidates(60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want SearchStats
-		for _, shard := range sharded.shards {
-			_, sst, err := shard.SearchWithStats(q, 5, WithMaxCandidates(60))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Merge(sst)
-		}
-		if got := workOf(st); got != workOf(want) {
-			t.Fatalf("query %d: merged stats %+v != per-shard sum %+v", qi, got, want)
-		}
-		plain, err := sharded.Search(q, 5, WithMaxCandidates(60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range plain {
-			if plain[i] != nbrs[i] {
-				t.Fatalf("query %d: SearchWithStats neighbors diverge from Search", qi)
-			}
-		}
 	}
 }
 

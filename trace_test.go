@@ -86,14 +86,10 @@ func TestTraceStatsAcrossMethods(t *testing.T) {
 				t.Fatalf("%s: evaluation %v != gather+evaluate %v", method,
 					st.EvaluationTime, tr.StageDur[trace.StageGather]+tr.StageDur[trace.StageEvaluate])
 			}
-			// Single-index pipeline spans: snapshot and preprocess marks
-			// exist, and no shard spans do.
+			// Pipeline spans: snapshot and preprocess marks exist.
 			if tr.StageCount[trace.StageSnapshot] != 1 || tr.StageCount[trace.StagePreprocess] != 1 {
 				t.Fatalf("%s: snapshot/preprocess counts %d/%d", method,
 					tr.StageCount[trace.StageSnapshot], tr.StageCount[trace.StagePreprocess])
-			}
-			if tr.StageCount[trace.StageShard] != 0 {
-				t.Fatalf("%s: unsharded trace has shard spans", method)
 			}
 		}
 		st := rec.Stats()
@@ -277,89 +273,6 @@ func TestTraceBatchAndChromeExport(t *testing.T) {
 	}
 }
 
-// TestShardedTraceAttribution checks the fan-out attribution surface:
-// merged stats name the slowest shard, SearchWithShardStats returns the
-// per-shard breakdown, and a captured trace carries one shard span per
-// leg plus the legs' re-based pipeline spans.
-func TestShardedTraceAttribution(t *testing.T) {
-	ds := demoData(t)
-	const shards = 3
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, shards, WithSeed(33), WithTracing(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shard := range sharded.shards {
-		if shard.TraceRecorder() != nil {
-			t.Fatal("shard carries its own recorder; the fan-out must own the only one")
-		}
-	}
-	rec := sharded.TraceRecorder()
-	if rec == nil {
-		t.Fatal("sharded recorder missing")
-	}
-	for qi := 0; qi < ds.NQ(); qi++ {
-		q := ds.Query(qi)
-		nbrs, st, per, err := sharded.SearchWithShardStats(q, 5, WithMaxCandidates(60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nbrs) == 0 {
-			t.Fatalf("query %d: no neighbors", qi)
-		}
-		if st.ShardCount != shards {
-			t.Fatalf("query %d: ShardCount %d, want %d", qi, st.ShardCount, shards)
-		}
-		if st.SlowestShardTime <= 0 || st.SlowestShard < 0 || st.SlowestShard >= shards {
-			t.Fatalf("query %d: slowest shard %d/%v", qi, st.SlowestShard, st.SlowestShardTime)
-		}
-		if len(per) != shards {
-			t.Fatalf("query %d: %d shard stats", qi, len(per))
-		}
-		var sum SearchStats
-		var slowest time.Duration
-		for i, ps := range per {
-			if ps.Shard != i || ps.Err != "" {
-				t.Fatalf("query %d: shard stat %+v", qi, ps)
-			}
-			if ps.Duration <= 0 {
-				t.Fatalf("query %d: shard %d duration %v", qi, i, ps.Duration)
-			}
-			sum.Merge(ps.Stats)
-			if ps.Duration > slowest {
-				slowest = ps.Duration
-			}
-		}
-		if workOf(st) != workOf(sum) {
-			t.Fatalf("query %d: merged %+v != shard sum %+v", qi, workOf(st), workOf(sum))
-		}
-		if st.SlowestShardTime != slowest {
-			t.Fatalf("query %d: slowest %v != max leg %v", qi, st.SlowestShardTime, slowest)
-		}
-		// SearchWithShardStats and SearchWithStats trace alike; the
-		// newest capture covers the call above.
-		tr := rec.Traces()[0]
-		if got := int(tr.StageCount[trace.StageShard]); got != shards {
-			t.Fatalf("query %d: %d shard spans, want %d", qi, got, shards)
-		}
-		// Shard-tagged pipeline spans were re-based into the parent.
-		tagged := map[int32]bool{}
-		for _, sp := range tr.Spans {
-			if sp.Start < 0 {
-				t.Fatalf("query %d: span starts before parent begin: %+v", qi, sp)
-			}
-			if sp.Shard >= 0 && sp.Stage != trace.StageShard {
-				tagged[sp.Shard] = true
-			}
-		}
-		if len(tagged) != shards {
-			t.Fatalf("query %d: pipeline spans tagged for %d shards, want %d", qi, len(tagged), shards)
-		}
-		if tr.Totals.Candidates != st.Candidates {
-			t.Fatalf("query %d: trace totals %d candidates, stats %d", qi, tr.Totals.Candidates, st.Candidates)
-		}
-	}
-}
-
 // TestLoadWithTracingOptions checks that a restored index can be
 // equipped with a flight recorder at load time.
 func TestLoadWithTracingOptions(t *testing.T) {
@@ -421,16 +334,11 @@ func TestPublicSearchAllocs(t *testing.T) {
 }
 
 // TestTraceStressRoot races traced searches, Adds and recorder readers
-// on both the single and the sharded index — the root-level -race
-// exercise behind `make trace-stress`.
+// — the root-level -race exercise behind `make trace-stress`.
 func TestTraceStressRoot(t *testing.T) {
 	ds := demoData(t)
 	ix, err := Build(ds.Vectors, ds.Dim, WithSeed(36),
 		WithTracing(2), WithSlowQueryThreshold(time.Nanosecond), WithTraceBuffer(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BuildSharded(ds.Vectors, ds.Dim, 3, WithSeed(37), WithTracing(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,10 +352,6 @@ func TestTraceStressRoot(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				q := ds.Query((w + i) % ds.NQ())
 				if _, _, err := ix.SearchWithStats(q, 3, WithMaxCandidates(60)); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := sharded.SearchWithStats(q, 3, WithMaxCandidates(40)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -474,7 +378,7 @@ func TestTraceStressRoot(t *testing.T) {
 				_ = tr.Summary()
 			}
 			sink.Reset()
-			_ = trace.WriteChrome(&sink, sharded.TraceRecorder().Traces()...)
+			_ = trace.WriteChrome(&sink, ix.TraceRecorder().Traces()...)
 		}
 	}()
 	// Writers finish, then the reader is told to stop.
@@ -492,8 +396,5 @@ func TestTraceStressRoot(t *testing.T) {
 	st := ix.TraceRecorder().Stats()
 	if st.Queries != workers*perWorker || st.Captured == 0 {
 		t.Fatalf("recorder %+v after stress", st)
-	}
-	if sst := sharded.TraceRecorder().Stats(); sst.Queries != workers*perWorker {
-		t.Fatalf("sharded recorder %+v after stress", sst)
 	}
 }
