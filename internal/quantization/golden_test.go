@@ -17,8 +17,9 @@ import (
 // encoded through Lloyd k-means, so a change to the nearest-centroid
 // search (its order of operations, its tie rule, its memory layout) that
 // moves any trained parameter, any code or any ADC table entry fails
-// here: the serving re-ranker (plain PQ at m 16, k 256 and OPQ, their
-// marshaled bytes, EncodeAll codes and ADC tables), the §6.5 PQ,
+// here: the serving re-ranker (plain PQ at subspace widths 2, 3, 4, 8
+// and 16, K a multiple of four or not, and OPQ; their marshaled bytes,
+// EncodeAll codes and ADC tables), the §6.5 PQ,
 // cluster.KMeansP at one and two workers, and a KMH hasher. The
 // digests are sha256 over little-endian bytes; they hold on amd64 with
 // or without AVX2.
@@ -63,6 +64,12 @@ func TestTrainedQuantizerGolden(t *testing.T) {
 		{"reranker pq m16 k256", func() []byte { return reranker(ds.Vectors, 128, 16, 256, false) }, "fa7769a624257acde1d7894785d4dbc9d940d0fa0e43299125f2f1819d8d2dfe"},
 		{"reranker pq m16 k16", func() []byte { return reranker(cols(n, 32), 32, 16, 16, false) }, "c3a22e01755667a1715ddb1b61b098121dc0467c2f2b6d719dfbd515ca8d8b2c"},
 		{"reranker opq m8 k64", func() []byte { return reranker(cols(n, 32), 32, 8, 64, true) }, "1d52a974ca404c588063652b077bd560c3b9f01ad1e7270b65fc1b1b120bcbc1"},
+		// Widths 4 and 3 in one quantizer and K = 30, so every row of the
+		// flat table ends in a two-centroid group that must not spill into
+		// the next row.
+		{"reranker pq d30 m8 k30", func() []byte { return reranker(cols(n, 30), 30, 8, 30, false) }, "3b6298249476d8e4d718107d0915132f5011174a69863971cfdb64b966fb4105"},
+		// WithReranking's default m 8 on 128 dimensions: width 16.
+		{"reranker pq m8 k256", func() []byte { return reranker(ds.Vectors, 128, 8, 256, false) }, "7d68f63a116950437c66dbf7549bb95cb2325520523f91138c9008222a1652fd"},
 		{"pq m16 k16", func() []byte {
 			data := cols(n, 32)
 			pq, err := TrainPQ(data, n, 32, 16, 16, 10, 3)
