@@ -15,12 +15,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The distance and nearest-centroid kernels and the candidate prefetch
-# are assembly on amd64 and plain Go elsewhere, and no test on an amd64
-# host compiles the elsewhere: build the module for arm64 and vet the two
-# packages there
-# (vet on amd64, above, is what checks the assembly against its Go
-# declarations).
+# The distance, nearest-centroid and ADC row kernels and the candidate
+# prefetch are assembly on amd64 and plain Go elsewhere, and no test on
+# an amd64 host compiles the elsewhere: build the module for arm64 and
+# vet the two packages there (vet on amd64, above, is what checks the
+# assembly against its Go declarations).
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/vecmath ./internal/query
@@ -75,8 +74,11 @@ batch-stress:
 # over fuzzer-chosen components, offsets and bounds; the fourth holds
 # the blocked nearest-centroid kernel (AVX2 and its Go fallback) to
 # ArgNearest, index and distance bits, over fuzzer-chosen components,
-# widths and centroid counts; the fifth holds GQR's queue generator to its slice model and the paper's heap form over
-# fuzzer-chosen code lengths and costs. The last two are the server's:
+# widths and centroid counts; the fifth holds the ADC row kernel (AVX2
+# and its Go fallback) to its serial definition bit for bit, and to the
+# row's bounds, over the same; the sixth holds GQR's queue generator to
+# its slice model and the paper's heap form over fuzzer-chosen code
+# lengths and costs. The last two are the server's:
 # its request scanner-or-fallback against encoding/json on arbitrary
 # bytes (same acceptance, same error text, same values to the bit, for
 # all four request types), and arbitrary method/path/body against the
@@ -86,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReplay -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzSquaredL2Bounded -fuzztime=10s -run '^$$' ./internal/vecmath
 	$(GO) test -fuzz=FuzzNearestCentroid -fuzztime=10s -run '^$$' ./internal/vecmath
+	$(GO) test -fuzz=FuzzADCRow -fuzztime=10s -run '^$$' ./internal/vecmath
 	$(GO) test -fuzz=FuzzGQRSequence -fuzztime=10s -run '^$$' ./internal/query
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=10s -run '^$$' ./internal/server
 	$(GO) test -fuzz=FuzzHandlers -fuzztime=10s -run '^$$' ./internal/server

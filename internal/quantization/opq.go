@@ -98,7 +98,7 @@ func (o *OPQ) Rotate(x []float32, dst []float32) {
 	for j := 0; j < d; j++ {
 		var s float64
 		for i := 0; i < d; i++ {
-			s += (float64(x[i]) - o.mean[i]) * o.R.At(i, j)
+			s += float64((float64(x[i]) - o.mean[i]) * o.R.At(i, j))
 		}
 		dst[j] = float32(s)
 	}

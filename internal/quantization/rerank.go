@@ -161,7 +161,7 @@ func TrainOPQP(data []float32, n, d, m, k, outerIters, kmIters int, seed int64, 
 // scratch so the query hot path stays allocation-free.
 type Reranker struct {
 	pq   *PQ
-	r    *vecmath.Mat // d×d rotation; nil for plain PQ
+	rt   *vecmath.Mat // the d×d rotation R transposed, so rotate reads rows; nil for plain PQ
 	mean []float64    // removed before rotation; nil for plain PQ
 }
 
@@ -183,7 +183,7 @@ func TrainReranker(data []float32, n, d, m, k int, opq bool, seed int64, procs i
 	if err != nil {
 		return nil, err
 	}
-	return &Reranker{pq: o.PQ, r: o.R, mean: o.mean}, nil
+	return &Reranker{pq: o.PQ, rt: o.R.T(), mean: o.mean}, nil
 }
 
 // M returns the code length in bytes (one byte per subspace).
@@ -196,23 +196,27 @@ func (rr *Reranker) K() int { return rr.pq.K }
 func (rr *Reranker) Dim() int { return rr.pq.Dim }
 
 // Rotated reports whether an OPQ rotation is applied before coding.
-func (rr *Reranker) Rotated() bool { return rr.r != nil }
+func (rr *Reranker) Rotated() bool { return rr.rt != nil }
 
 // TableLen returns the flat ADC table length (M·K float32 entries).
 func (rr *Reranker) TableLen() int { return rr.pq.M * rr.pq.K }
 
 // rotate writes the quantizer-space image of x into rot: (x−mean)ᵀ·R,
 // or a plain copy when no rotation was trained. rot has length Dim.
+// Output j sums over i ascending, each product rounded on its own (the
+// float64(…) forbids fusing it into the addition); column j of R is row
+// j of rt, so the sum reads memory in order.
 func (rr *Reranker) rotate(x []float32, rot []float32) {
-	d := rr.pq.Dim
-	if rr.r == nil {
+	if rr.rt == nil {
 		copy(rot, x)
 		return
 	}
-	for j := 0; j < d; j++ {
+	x = x[:len(rr.mean)]
+	for j := range rr.mean {
+		col := rr.rt.Row(j)[:len(x)]
 		var s float64
-		for i := 0; i < d; i++ {
-			s += (float64(x[i]) - rr.mean[i]) * rr.r.At(i, j)
+		for i, m := range rr.mean {
+			s += float64((float64(x[i]) - m) * col[i])
 		}
 		rot[j] = float32(s)
 	}
@@ -226,7 +230,7 @@ func (rr *Reranker) EncodeTo(x []float32, dst []uint8, rot []float32) {
 	if len(x) != pq.Dim || len(dst) != pq.M {
 		panic("quantization: EncodeTo shape mismatch")
 	}
-	if rr.r != nil {
+	if rr.rt != nil {
 		rr.rotate(x, rot)
 		x = rot
 	}
@@ -246,7 +250,7 @@ func (rr *Reranker) EncodeAll(data []float32, n, procs int) []uint8 {
 	codes := make([]uint8, n*m)
 	vecmath.ParallelRanges(n, vecmath.Procs(procs), func(lo, hi int) {
 		var rot []float32
-		if rr.r != nil {
+		if rr.rt != nil {
 			rot = make([]float32, d)
 		}
 		for i := lo; i < hi; i++ {
@@ -267,7 +271,7 @@ func (rr *Reranker) ADCTable(q []float32, tab []float32, rot []float32) []float3
 	if len(q) != pq.Dim {
 		panic(fmt.Sprintf("quantization: query dim %d != %d", len(q), pq.Dim))
 	}
-	if rr.r != nil {
+	if rr.rt != nil {
 		rr.rotate(q, rot)
 		q = rot
 	}
@@ -294,7 +298,7 @@ func (rr *Reranker) ADCRows(q []float32, rows [][256]float32, rot []float32) [][
 	if len(q) != pq.Dim {
 		panic(fmt.Sprintf("quantization: query dim %d != %d", len(q), pq.Dim))
 	}
-	if rr.r != nil {
+	if rr.rt != nil {
 		rr.rotate(q, rot)
 		q = rot
 	}
@@ -309,55 +313,12 @@ func (rr *Reranker) ADCRows(q []float32, rows [][256]float32, rot []float32) [][
 }
 
 // fillRow computes subspace s's K squared distances from the (already
-// rotated) query into row. Fused per-width loops: a call into the
-// generic distance kernel per centroid costs more than the distance
-// itself at these subvector widths (2–8 floats), so the hot widths
-// compute in registers, float32 throughout. They walk the blocked
-// codebook a group of four centroids at a time, four independent sums,
-// each summed in the same order as one centroid alone (j ascending;
-// pairs first at width 4); a padding lane's NaN is never stored.
+// rotated) query into row (length K) with vecmath.ADCRow over the
+// blocked codebook: float32 throughout, pairwise at width 4 and
+// sequential at every other width, nothing written past row[K−1].
 func (rr *Reranker) fillRow(s int, q []float32, row []float32) {
 	pq := rr.pq
-	w := pq.width(s)
-	qs := q[pq.offsets[s] : pq.offsets[s]+w]
-	cb := pq.codebooks[s]
-	var v [4]float32
-	for c := 0; c < len(row); c += 4 {
-		blk := cb[c*w : (c+4)*w]
-		switch w {
-		case 2:
-			q0, q1 := qs[0], qs[1]
-			for l := range v {
-				d0 := q0 - blk[l]
-				d1 := q1 - blk[4+l]
-				v[l] = d0*d0 + d1*d1
-			}
-		case 4:
-			q0, q1, q2, q3 := qs[0], qs[1], qs[2], qs[3]
-			for l := range v {
-				d0 := q0 - blk[l]
-				d1 := q1 - blk[4+l]
-				d2 := q2 - blk[8+l]
-				d3 := q3 - blk[12+l]
-				v[l] = (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
-			}
-		default:
-			var a0, a1, a2, a3 float32
-			for j, x := range qs {
-				e := blk[4*j : 4*j+4 : 4*j+4]
-				d0 := x - e[0]
-				d1 := x - e[1]
-				d2 := x - e[2]
-				d3 := x - e[3]
-				a0 += d0 * d0
-				a1 += d1 * d1
-				a2 += d2 * d2
-				a3 += d3 * d3
-			}
-			v = [4]float32{a0, a1, a2, a3}
-		}
-		copy(row[c:], v[:])
-	}
+	vecmath.ADCRow(row, q[pq.offsets[s]:pq.offsets[s+1]], pq.codebooks[s])
 }
 
 // ADCDist returns the asymmetric squared distance between the query
@@ -405,12 +366,12 @@ func (rr *Reranker) Marshal() []byte {
 	writeRU32(&buf, uint32(pq.M))
 	writeRU32(&buf, uint32(pq.K))
 	writeRU32(&buf, uint32(pq.Dim))
-	if rr.r != nil {
+	if rr.rt != nil {
 		buf.WriteByte(1)
 		for _, v := range rr.mean {
 			writeRU64(&buf, math.Float64bits(v))
 		}
-		for _, v := range rr.r.Data {
+		for _, v := range rr.rt.T().Data { // R row-major, as trained
 			writeRU64(&buf, math.Float64bits(v))
 		}
 	} else {
@@ -458,10 +419,11 @@ func UnmarshalReranker(data []byte) (*Reranker, error) {
 		if err := readRF64s(r, out.mean); err != nil {
 			return nil, err
 		}
-		out.r = vecmath.NewMat(d, d)
-		if err := readRF64s(r, out.r.Data); err != nil {
+		rot := vecmath.NewMat(d, d)
+		if err := readRF64s(r, rot.Data); err != nil {
 			return nil, err
 		}
+		out.rt = rot.T()
 	}
 	off := 0
 	for s := 0; s < m; s++ {

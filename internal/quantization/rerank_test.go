@@ -81,6 +81,34 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 	}
 }
 
+// TestRotateMatchesColumnSums holds the OPQ query rotation, which reads
+// R transposed row by row, to the plain definition walking R column by
+// column: output j = Σ_i (x[i] − mean[i])·R[i][j], i ascending, each
+// product rounded on its own; bit for bit.
+func TestRotateMatchesColumnSums(t *testing.T) {
+	const n, d, m, k = 400, 10, 5, 16
+	data := testBlock(n, d, 31)
+	rr, err := TrainReranker(data, n, d, m, k, true, 37, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rr.rt.T()
+	got := make([]float32, d)
+	for i := 0; i < n; i += 7 {
+		x := data[i*d : (i+1)*d]
+		rr.Rotate(x, got)
+		for j := 0; j < d; j++ {
+			var s float64
+			for l := 0; l < d; l++ {
+				s += float64((float64(x[l]) - rr.mean[l]) * r.At(l, j))
+			}
+			if math.Float32bits(got[j]) != math.Float32bits(float32(s)) {
+				t.Fatalf("row %d output %d: %v, column sum %v", i, j, got[j], float32(s))
+			}
+		}
+	}
+}
+
 // TestTrainingIsParallelInvariant pins the determinism contract:
 // training and encoding fan out over workers but must be bit-identical
 // to the serial run at any worker count.

@@ -421,6 +421,10 @@ func TestKernelLengthPanics(t *testing.T) {
 		"NearestCentroid empty x":        func() { NearestCentroid(nil, nil, 1) },
 		"NearestCentroid no centroids":   func() { NearestCentroid([]float32{1}, nil, 0) },
 		"BlockCentroids short centroids": func() { BlockCentroids(nil, make([]float32, 3), 2, 2) },
+		"ADCRow codebook too short": func() {
+			ADCRow(make([]float32, 5), []float32{1, 2}, make([]float32, 12))
+		},
+		"ADCRow empty q": func() { ADCRow(make([]float32, 4), nil, nil) },
 	} {
 		func() {
 			defer func() {

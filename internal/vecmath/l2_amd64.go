@@ -40,9 +40,26 @@ func nearestScan(x, blocked []float32, m *laneMin) {
 	nearestScanGo(x, blocked, m)
 }
 
-// Kernel names the implementation behind SquaredL2, SquaredL2Bounded and
-// NearestCentroid in this process: "avx2", or "go" on a CPU or OS
-// without AVX2.
+// adcRowAVX2 is adcRowGo in assembly (adcrow_amd64.s): dimension j of a
+// group of four centroids is one 16-byte load, the query's coordinate is
+// broadcast to every lane, and VSUBPS, VMULPS and VADDPS round
+// separately in adcRowGo's order, eight centroids to a YMM register.
+// Same preconditions as adcRowGo.
+//
+//go:noescape
+func adcRowAVX2(row, q, blocked []float32)
+
+func adcRow(row, q, blocked []float32) {
+	if useAVX2 {
+		adcRowAVX2(row, q, blocked)
+		return
+	}
+	adcRowGo(row, q, blocked)
+}
+
+// Kernel names the implementation behind SquaredL2, SquaredL2Bounded,
+// NearestCentroid and ADCRow in this process: "avx2", or "go" on a CPU
+// or OS without AVX2.
 func Kernel() string {
 	if useAVX2 {
 		return "avx2"

@@ -8,6 +8,9 @@ func squaredL2Bounded(a, b []float32, bound float64) float64 {
 
 func nearestScan(x, blocked []float32, m *laneMin) { nearestScanGo(x, blocked, m) }
 
-// Kernel names the implementation behind SquaredL2, SquaredL2Bounded and
-// NearestCentroid in this process: off amd64, always the portable "go".
+func adcRow(row, q, blocked []float32) { adcRowGo(row, q, blocked) }
+
+// Kernel names the implementation behind SquaredL2, SquaredL2Bounded,
+// NearestCentroid and ADCRow in this process: off amd64, always the
+// portable "go".
 func Kernel() string { return "go" }

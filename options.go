@@ -259,6 +259,8 @@ func WithMemtableSize(items int) Option { return func(c *config) { c.memtable = 
 // one branch-free four-lane kernel (AVX2 where the CPU has it): on
 // 10 000 × 128 at m=16, k=256 about 1.2 s on two cores. Each Add
 // encodes its vector against the m codebooks, m searches of k centroids.
+// Each query builds its m×k ADC table with a SIMD row kernel (AVX2
+// where the CPU has it), about 1.8 µs at dim 128, m=16, k=256.
 func WithReranking(m, k, factor int) Option {
 	return func(c *config) { c.rerank, c.rerankM, c.rerankK, c.rerankFactor = true, m, k, factor }
 }
@@ -267,7 +269,10 @@ func WithReranking(m, k, factor int) Option {
 // product quantization: a learned orthogonal rotation (Procrustes
 // iterations) is applied before subspace quantization, cutting code
 // distortion when coordinates are correlated. Costs one dim×dim
-// rotation per encoded item and per query; requires WithReranking.
+// rotation per encoded item and per query, read row by row from the
+// transposed matrix: at dim 128 about 9 µs a query on a 2-core Xeon,
+// more than the m=16, k=256 ADC table it feeds (about 1.8 µs). Requires
+// WithReranking.
 func WithOPQRotation() Option { return func(c *config) { c.opq = true } }
 
 // WithoutAddWAL disables the write-ahead log when durability is enabled
